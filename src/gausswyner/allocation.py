@@ -4,7 +4,10 @@ independent Gaussian component pairs.
 Given canonical correlations rho_1 >= ... >= rho_n and a total budget, the
 optimal split gives every unsaturated component the same water level ``beta``
 in value space, while components too weak to absorb their share are capped at
-their own mutual information. :func:`waterfill` finds ``beta`` by bisection;
+their own mutual information. Because the caps arrive sorted, ``beta`` has a
+closed form (reverse water-filling, Cover & Thomas §10.3.3): the weakest
+components saturate first, so one pass from the weakest up finds how many
+are active. :func:`waterfill` solves it that way;
 :func:`evaluate_allocation` prices an arbitrary split for comparison, and
 :func:`saturation_breakpoints` lists the budgets at which components drop
 out.
@@ -19,7 +22,6 @@ from typing import Sequence
 from .errors import ParameterError
 from .scalar import (
     RHO_CLAMP_BAND,
-    budget_from_level,
     common_information,
     level_from_budget,
     mutual_information,
@@ -34,10 +36,6 @@ __all__ = [
     "saturation_breakpoints",
     "waterfill",
 ]
-
-BISECT_TOL = 1e-12
-BISECT_MAX_ITERS = 200
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -85,11 +83,14 @@ def waterfill(spectrum, gamma: float) -> Allocation:
 
     If the budget covers every component's mutual information, all of them
     saturate, the value is 0, and the remainder is reported as slack.
-    Otherwise the water level solves
-    sum_i min{budget_from_level(beta), I(rho_i)} = gamma by bisection to
-    within ``BISECT_TOL``, so the returned budgets add up to ``gamma`` at the
-    same tolerance. A component with rho_i = 1 never saturates and makes the
-    total infinite for any finite budget.
+    Otherwise, with the k strongest components active and the rest
+    saturated, each active one spends (gamma - tail) / k, where tail is the
+    sum of the saturated caps, and the water level is
+    ``level_from_budget`` of that spend. The solve is exact: each active
+    component's budget maps back to the water level bit for bit, and the
+    budgets add up to ``gamma`` to within n float roundings. A component
+    with rho_i = 1 never saturates and makes the total infinite for any
+    finite budget.
     """
     rhos = as_rhos(spectrum)
     gamma = validate_budget(gamma)
@@ -103,8 +104,11 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     if gamma >= total_cap:
         return Allocation(
             caps, values[0], 0.0, (True,) * len(rhos), gamma - total_cap)
-    beta = _solve_water_level(caps, values[0], gamma)
-    spend = budget_from_level(beta)
+    for k, cap, tail in _weakest_first(caps):
+        spend = (gamma - tail) / k
+        if spend < cap:
+            break
+    beta = level_from_budget(spend)
     gammas = tuple(min(spend, cap) for cap in caps)
     saturated = tuple(spend >= cap for cap in caps)
     total = 0.0
@@ -113,32 +117,14 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     return Allocation(gammas, beta, total, saturated, 0.0)
 
 
-def _solve_water_level(caps, value_max, gamma):
-    """Bisect h(beta) = sum_i min{budget_from_level(beta), caps[i]} = gamma.
-
-    h is continuous, nondecreasing, and has slope kinks wherever a component
-    saturates, so bracketing beats Newton here. h(0) = 0, and at the upper
-    bracket end h reaches the summed caps (the level of the strongest
-    component converts to exactly its own cap), or, when that component is
-    degenerate, the level a single component would need for the whole budget.
-    """
-    if gamma == 0.0:
-        return 0.0
-    hi = value_max if math.isfinite(value_max) else level_from_budget(gamma)
-    lo = 0.0
-    for _ in range(BISECT_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        h = 0.0
-        spend = budget_from_level(mid)
-        for cap in caps:
-            h += min(spend, cap)
-        if abs(h - gamma) <= BISECT_TOL:
-            return mid
-        if h < gamma:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _weakest_first(caps):
+    """Yield (k, caps[k-1], tail) for k = n..1, where tail is the sum of the
+    caps after position k: the saturation order of a descending spectrum,
+    weakest component first."""
+    tail = 0.0
+    for k in range(len(caps), 0, -1):
+        yield k, caps[k - 1], tail
+        tail += caps[k - 1]
 
 
 def saturation_breakpoints(spectrum) -> tuple[float, ...]:
@@ -149,14 +135,8 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     k-th component transitions from active to saturated. Strictly increasing
     when the correlations are distinct; equal correlations saturate together.
     """
-    rhos = as_rhos(spectrum)
-    caps = [mutual_information(r) for r in rhos]
-    thresholds = []
-    tail = 0.0
-    for k in range(len(rhos), 0, -1):
-        thresholds.append(k * caps[k - 1] + tail)
-        tail += caps[k - 1]
-    return tuple(thresholds)
+    caps = [mutual_information(r) for r in as_rhos(spectrum)]
+    return tuple(k * cap + tail for k, cap, tail in _weakest_first(caps))
 
 
 def evaluate_allocation(spectrum, gammas: Sequence[float]) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -80,14 +81,23 @@ def common_rate(sigma2: float, rho: float, delta: float,
     alpha_private = _check_nonneg(alpha_private, "alpha_private")
     rho = validate_correlation(rho)
     r = abs(rho)
-    d = delta / sigma2 * math.exp(alpha_private)
-    if d > 1.0:
+    # Work with log d, d = delta / sigma2 * e^alpha, so that no input scale
+    # under- or overflows. Forming the ratio first keeps scaling delta and
+    # sigma2 together exact; separate logs serve only where the ratio leaves
+    # the normal float range. e^log_d is taken once log d <= 0, so it cannot
+    # overflow.
+    ratio = delta / sigma2
+    if ratio >= sys.float_info.min:
+        log_d = math.log(ratio) + alpha_private
+    else:
+        log_d = math.log(delta) - math.log(sigma2) + alpha_private
+    if log_d > 0.0:
         r0, regime = 0.0, Regime.INFEASIBLE_ZERO
-    elif d >= 1.0 - r:
+    elif (d := math.exp(log_d)) >= 1.0 - r:
         r0 = max(0.5 * math.log((1.0 + r) / (2.0 * d + r - 1.0)), 0.0)
         regime = Regime.BLEND
     else:
-        r0 = max(0.5 * math.log((1.0 - r * r) / (d * d)), 0.0)
+        r0 = max(0.5 * math.log1p(-r * r) - log_d, 0.0)
         regime = Regime.SATURATED_NU
     return GrayWynerPoint(sigma2, rho, delta, alpha_private, r0, regime)
 
@@ -130,10 +140,13 @@ def dual_maximizer(rho: float, delta: float, alpha_private: float) -> float:
     r = abs(validate_correlation(rho))
     delta = _check_positive(delta, "delta")
     alpha_private = _check_nonneg(alpha_private, "alpha_private")
-    d = delta * math.exp(alpha_private)
+    log_d = math.log(delta) + alpha_private
+    # capping log d at 1 keeps e^log_d finite; any d above 1 + 1e-12 is
+    # rejected either way
+    d = math.exp(min(log_d, 1.0))
     if d < (1.0 - r) - 1e-12 or d > 1.0 + 1e-12:
         raise ParameterError(
-            f"distortion product {d!r} outside [{1.0 - r!r}, 1]; the dual "
-            "maximum sits at nu = 1 below this range")
+            f"distortion product exp({log_d!r}) outside [{1.0 - r!r}, 1]; "
+            "the dual maximum sits at nu = 1 below this range")
     nu = d / (2.0 * d - 1.0 + r)
     return min(max(nu, 1.0 / (1.0 + r)), 1.0)

@@ -79,7 +79,9 @@ def mutual_information(rho: float) -> float:
     r = abs(validate_correlation(rho))
     if r == 1.0:
         return math.inf
-    return -0.5 * (math.log1p(r) + math.log1p(-r))
+    # 0.0 - x rather than -x: at rho = 0 (and wherever the logs cancel) the
+    # result is +0.0, not -0.0
+    return 0.0 - 0.5 * (math.log1p(r) + math.log1p(-r))
 
 
 def level_from_budget(x: float) -> float:
@@ -184,7 +186,9 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
 
     A true lower bound on :func:`wyner_ci_scalar` whenever
     ``mu >= 1/|rho|``; strictly concave in ``mu`` with second derivative
-    -1/(mu (mu^2 - 1)) and maximizer :func:`dual_maximizer`.
+    -1/(mu (mu^2 - 1)) and maximizer :func:`dual_maximizer`. At
+    ``mu = inf`` (the maximizer for ``gamma = 0``) it returns the limit:
+    ``common_information(rho)`` when ``gamma = 0``, ``-inf`` otherwise.
     """
     r = abs(validate_correlation(rho))
     gamma = validate_budget(gamma)
@@ -193,6 +197,8 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
     mu = float(mu)
     if math.isnan(mu) or mu <= 1.0:
         raise ParameterError(f"dual variable {mu!r} must be > 1")
+    if math.isinf(mu):
+        return common_information(r) if gamma == 0.0 else -math.inf
     joint_entropy = _LOG_2PIE + 0.5 * math.log1p(-r * r)
     envelope = _LOG_2PIE + 0.5 * math.log(
         (1.0 - r) ** 2 * (mu + 1.0) / (mu - 1.0))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausswyner import allocation, scalar
 from gausswyner.allocation import (
@@ -92,8 +94,9 @@ class TestWaterfill:
             waterfill([0.5], math.inf)
 
     def test_bracket_identities(self):
-        # the bisection bracket is valid because budget_from_level maps the
-        # strongest component's value back to its own cap
+        # level and budget are conjugate: budget_from_level maps a
+        # component's value back to its own cap, so the water level reaches
+        # C(rho) exactly as that component saturates
         for rho in (0.3, 0.6, 0.9):
             assert scalar.budget_from_level(scalar.common_information(rho)) == \
                 pytest.approx(scalar.mutual_information(rho), abs=1e-12)
@@ -109,6 +112,38 @@ class TestWaterfill:
         assert all(b <= a + 1e-9 for a, b in zip(totals, totals[1:]))
         for left, mid, right in zip(totals, totals[1:], totals[2:]):
             assert mid <= 0.5 * (left + right) + 1e-9
+
+
+class TestExactness:
+    @pytest.mark.parametrize("rho, gamma", [
+        (4.292445127976509e-07, 8.74463917124356e-14),
+        (0.5, 1e-13),
+        (0.9, 1e-15),
+        (1e-3, 2e-9),
+        (0.3, 1e-300),
+    ])
+    def test_single_component_matches_scalar_at_tiny_budgets(self, rho,
+                                                             gamma):
+        alloc = waterfill([rho], gamma)
+        assert alloc.total_value == pytest.approx(
+            scalar.wyner_ci_scalar(rho, gamma), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rhos=st.lists(st.floats(min_value=0.0, max_value=0.999999),
+                         min_size=1, max_size=40),
+           share=st.floats(min_value=1e-12, max_value=0.999999))
+    def test_budgets_map_back_to_the_water_level(self, rhos, share):
+        rhos = sorted(rhos, reverse=True)
+        caps = [scalar.mutual_information(r) for r in rhos]
+        gamma = share * sum(caps)
+        alloc = waterfill(rhos, gamma)
+        beta = alloc.water_level_beta
+        for gamma_i, flag in zip(alloc.gammas, alloc.saturated):
+            if not flag:
+                assert scalar.level_from_budget(gamma_i) == pytest.approx(
+                    beta, rel=1e-14, abs=0.0)
+        eps = np.finfo(float).eps
+        assert abs(sum(alloc.gammas) - gamma) <= len(rhos) * eps * gamma
 
 
 class TestOptimality:

@@ -113,6 +113,31 @@ class TestVectorCommand:
         assert json.loads(out)["value_nats"] == pytest.approx(
             0.0946030591935194, abs=1e-9)
 
+    @pytest.mark.parametrize("gamma", ["0.1", "5"])
+    def test_zero_correlation_prints_no_negative_zero(self, tmp_path, capsys,
+                                                      gamma):
+        payload = {"kx": [[1.0, 0.0], [0.0, 1.0]],
+                   "ky": [[1.0, 0.0], [0.0, 1.0]],
+                   "kxy": [[0.5, 0.0], [0.0, 0.0]]}
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, "vector", "--input", str(path),
+                               "--gamma", gamma)
+        assert code == 0
+        assert json.loads(out)["spectrum"][1] == 0.0
+        assert "-0.0" not in out
+
+    def test_tiny_budget_matches_scalar_command(self, tmp_path, capsys):
+        rho, gamma = "4.292445127976509e-07", "8.74463917124356e-14"
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(
+            {"kx": [[1.0]], "ky": [[1.0]], "kxy": [[float(rho)]]}))
+        _, out, _ = run_cli(capsys, "vector", "--input", str(path),
+                            "--gamma", gamma)
+        vector_value = json.loads(out)["value_nats"]
+        _, out, _ = run_cli(capsys, "scalar", "--rho", rho, "--gamma", gamma)
+        assert vector_value == json.loads(out)["value_nats"]
+
     def test_rank_deficient_marginal_reduces(self, tmp_path, capsys):
         # duplicated first component: same value as the reduced scalar pair
         payload = {"kx": [[1.0, 1.0], [1.0, 1.0]],
@@ -222,6 +247,21 @@ class TestGrayWynerCommand:
         record = json.loads(out)
         assert record["regime"] == "SATURATED_NU"
         assert record["nu_star"] is None
+
+    @pytest.mark.parametrize("argv, regime", [
+        (["--delta=1e-300", "--alpha=0"], "SATURATED_NU"),
+        (["--delta=0.1", "--alpha=800"], "INFEASIBLE_ZERO"),
+        (["--sigma2=1e300", "--delta=1e-300", "--alpha=0"], "SATURATED_NU"),
+        (["--sigma2=1e9", "--delta=1e-300", "--alpha=711.29"], "BLEND"),
+    ])
+    def test_extreme_scales_give_a_record(self, capsys, argv, regime):
+        code, out, err = run_cli(capsys, "graywyner", "--rho=0.5", *argv)
+        assert code == 0
+        assert "Traceback" not in err
+        record = json.loads(out)
+        assert math.isfinite(record["r0_nats"])
+        assert record["regime"] == regime
+        assert (record["nu_star"] is None) == (regime != "BLEND")
 
     def test_nonpositive_delta_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "graywyner", "--rho", "0.5",

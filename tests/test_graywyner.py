@@ -66,6 +66,34 @@ class TestCommonRate:
                  for r in np.linspace(0.0, 0.9, 30)]
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
 
+    def test_tiny_distortion_stays_finite(self):
+        # d * d underflows here; the saturated branch works with log d
+        point = common_rate(1.0, 0.5, 1e-300, 0.0)
+        assert point.regime is Regime.SATURATED_NU
+        assert point.r0 == pytest.approx(
+            0.5 * math.log(0.75) - math.log(1e-300), rel=1e-15)
+
+    def test_ratio_below_float_range_stays_finite(self):
+        # delta / sigma2 = 1e-600 is not a float; log d is still exact
+        point = common_rate(1e300, 0.5, 1e-300, 0.0)
+        assert point.regime is Regime.SATURATED_NU
+        assert point.r0 == pytest.approx(
+            0.5 * math.log(0.75) + 600.0 * math.log(10.0), rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [710.0, 800.0, math.inf])
+    def test_large_private_rate_is_zero_regime(self, alpha):
+        point = common_rate(1.0, 0.5, 0.1, alpha)
+        assert point.r0 == 0.0
+        assert point.regime is Regime.INFEASIBLE_ZERO
+
+    def test_blend_with_overflowing_exponential(self):
+        # e^alpha alone overflows, but d = delta / sigma2 * e^alpha is 0.8
+        alpha = math.log(0.8) - math.log(1e-309)
+        assert alpha > 709.8
+        point = common_rate(1e9, 0.5, 1e-300, alpha)
+        assert point.regime is Regime.BLEND
+        assert point.r0 == pytest.approx(0.5 * math.log(1.5 / 1.1), rel=1e-12)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):
             common_rate(1.0, 0.5, 0.0, 0.1)
@@ -142,6 +170,14 @@ class TestDualMaximizer:
         derivative = (dual_objective(0.5, 0.75, 0.0, nu + h)
                       - dual_objective(0.5, 0.75, 0.0, nu - h)) / (2.0 * h)
         assert abs(derivative) <= 1e-8
+
+    def test_large_alpha_is_rejected_not_overflowed(self):
+        with pytest.raises(ParameterError):
+            dual_maximizer(0.5, 0.1, 800.0)
+        # e^alpha overflows alone, but the product lies in the blend range
+        alpha = math.log(0.8) - math.log(1e-309)
+        assert dual_maximizer(0.5, 1e-309, alpha) == pytest.approx(
+            0.8 / 1.1, rel=1e-12)
 
     def test_rejects_outside_blend_regime(self):
         with pytest.raises(ParameterError):

@@ -62,6 +62,9 @@ class TestCommonInformation:
 class TestMutualInformation:
     def test_zero(self):
         assert scalar.mutual_information(0.0) == 0.0
+        # +0.0, not -0.0, so serialized output never shows "-0.0"
+        assert math.copysign(1.0, scalar.mutual_information(0.0)) == 1.0
+        assert math.copysign(1.0, scalar.mutual_information(1e-170)) == 1.0
 
     def test_half(self):
         assert scalar.mutual_information(0.5) == pytest.approx(I_HALF, abs=1e-12)
@@ -281,3 +284,16 @@ class TestDual:
     def test_maximizer_limits(self):
         assert scalar.dual_maximizer(0.0) == math.inf
         assert scalar.dual_maximizer(50.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
+    def test_zero_budget_limit_at_infinite_mu(self, rho):
+        # dual_maximizer(0) = inf; the objective tends to C(rho) there
+        mu = scalar.dual_maximizer(0.0)
+        assert scalar.dual_objective(rho, 0.0, mu) == \
+            scalar.common_information(rho)
+        assert scalar.dual_objective(rho, 0.0, 1e9) == pytest.approx(
+            scalar.common_information(rho), abs=1e-8)
+
+    def test_positive_budget_limit_at_infinite_mu(self):
+        assert scalar.dual_objective(0.5, 0.1, math.inf) == -math.inf
+        assert scalar.dual_objective(0.5, 1e-300, math.inf) == -math.inf
