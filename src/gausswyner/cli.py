@@ -132,8 +132,8 @@ def _cmd_graywyner(args) -> int:
     suffix, div = _units(args)
     nu_star = None
     if point.regime is graywyner.Regime.BLEND:
-        nu_star = graywyner.dual_maximizer(
-            args.rho, args.delta / args.sigma2, args.alpha)
+        nu_star = graywyner.dual_maximizer(args.rho, args.delta, args.alpha,
+                                           sigma2=args.sigma2)
     record = _base_record("graywyner", {
         "rho": args.rho,
         "sigma2": args.sigma2,

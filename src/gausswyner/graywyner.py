@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
+_LOG_MIN = math.log(sys.float_info.min)
 
 
 class Regime(str, enum.Enum):
@@ -67,6 +68,32 @@ def _check_nonneg(value: float, name: str) -> float:
     return value
 
 
+def _log_distortion(sigma2: float, delta: float, alpha_private: float) -> float:
+    """log d for the distortion product d = delta / sigma2 * e^alpha.
+
+    Working with log d keeps every input scale from under- or overflowing.
+    Forming the ratio first keeps scaling delta and sigma2 together exact;
+    separate logs serve only where the ratio leaves the normal float range.
+    """
+    ratio = delta / sigma2
+    if ratio >= sys.float_info.min:
+        return math.log(ratio) + alpha_private
+    return math.log(delta) - math.log(sigma2) + alpha_private
+
+
+def _distortion(log_d: float) -> float:
+    """e^log_d with log d capped at 1 and floored at the log of the
+    smallest normal float, so that it neither overflows nor reaches 0."""
+    return math.exp(min(max(log_d, _LOG_MIN), 1.0))
+
+
+def _blend_denominator(d: float, r: float) -> float:
+    """2d + r - 1, subtracting 1 - r last. In the blended regime
+    d >= 1 - r, so the difference is at least d and loses nothing to
+    cancellation; adding r first would round d away near |rho| = 1."""
+    return 2.0 * d - (1.0 - r)
+
+
 def common_rate(sigma2: float, rho: float, delta: float,
                 alpha_private: float) -> GrayWynerPoint:
     """Minimal shared-link rate at distortion ``delta`` and private-rate cap
@@ -81,20 +108,15 @@ def common_rate(sigma2: float, rho: float, delta: float,
     alpha_private = _check_nonneg(alpha_private, "alpha_private")
     rho = validate_correlation(rho)
     r = abs(rho)
-    # Work with log d, d = delta / sigma2 * e^alpha, so that no input scale
-    # under- or overflows. Forming the ratio first keeps scaling delta and
-    # sigma2 together exact; separate logs serve only where the ratio leaves
-    # the normal float range. e^log_d is taken once log d <= 0, so it cannot
-    # overflow.
-    ratio = delta / sigma2
-    if ratio >= sys.float_info.min:
-        log_d = math.log(ratio) + alpha_private
-    else:
-        log_d = math.log(delta) - math.log(sigma2) + alpha_private
+    log_d = _log_distortion(sigma2, delta, alpha_private)
     if log_d > 0.0:
         r0, regime = 0.0, Regime.INFEASIBLE_ZERO
-    elif (d := math.exp(log_d)) >= 1.0 - r:
-        r0 = max(0.5 * math.log((1.0 + r) / (2.0 * d + r - 1.0)), 0.0)
+    elif (d := _distortion(log_d)) >= 1.0 - r:
+        # d is floored only where log d < _LOG_MIN, which below |rho| = 1
+        # is the saturated branch; at |rho| = 1 the ratio is 1/d, so the
+        # part of log d under the floor is added back
+        r0 = max(0.5 * (math.log((1.0 + r) / _blend_denominator(d, r))
+                        - min(log_d - _LOG_MIN, 0.0)), 0.0)
         regime = Regime.BLEND
     else:
         r0 = max(0.5 * math.log1p(-r * r) - log_d, 0.0)
@@ -130,23 +152,27 @@ def dual_objective(rho: float, delta: float, alpha_private: float,
     )
 
 
-def dual_maximizer(rho: float, delta: float, alpha_private: float) -> float:
-    """Stationary point of :func:`dual_objective` (unit variance).
+def dual_maximizer(rho: float, delta: float, alpha_private: float,
+                   sigma2: float = 1.0) -> float:
+    """Stationary point of :func:`dual_objective` at source variance
+    ``sigma2``.
 
-    Defined only while the distortion product delta * e^alpha lies in
-    [1 - |rho|, 1]; below that range the dual maximum is pinned at nu = 1
-    and this function rejects.
+    Defined only while the distortion product delta / sigma2 * e^alpha lies
+    in [1 - |rho|, 1]; below that range the dual maximum is pinned at nu = 1
+    and this function rejects. Passing ``sigma2`` rather than a normalized
+    delta keeps the product exact where delta / sigma2 alone would
+    underflow.
     """
     r = abs(validate_correlation(rho))
+    sigma2 = _check_positive(sigma2, "sigma2")
     delta = _check_positive(delta, "delta")
     alpha_private = _check_nonneg(alpha_private, "alpha_private")
-    log_d = math.log(delta) + alpha_private
-    # capping log d at 1 keeps e^log_d finite; any d above 1 + 1e-12 is
-    # rejected either way
-    d = math.exp(min(log_d, 1.0))
+    log_d = _log_distortion(sigma2, delta, alpha_private)
+    # d is capped at e, and any d above 1 + 1e-12 is rejected either way
+    d = _distortion(log_d)
     if d < (1.0 - r) - 1e-12 or d > 1.0 + 1e-12:
         raise ParameterError(
             f"distortion product exp({log_d!r}) outside [{1.0 - r!r}, 1]; "
             "the dual maximum sits at nu = 1 below this range")
-    nu = d / (2.0 * d - 1.0 + r)
+    nu = d / _blend_denominator(d, r)
     return min(max(nu, 1.0 / (1.0 + r)), 1.0)

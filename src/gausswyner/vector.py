@@ -2,14 +2,20 @@
 matrix square roots, canonical correlations, and the vector extension of the
 scalar common-information formula.
 
-The pipeline is: validate the stacked covariance, whiten each marginal with
-a pseudo-inverse square root, read the canonical correlations off an SVD of
-the whitened cross-covariance, then water-fill the budget across the
-resulting independent scalar pairs.
+The pipeline is: eigendecompose each diagonal block once (after checking it
+is finite, symmetric and PSD), whiten the cross-covariance in the two
+eigenbases, read the canonical correlations off an SVD of the whitened block,
+then water-fill the budget across the resulting independent scalar pairs.
+The stacked covariance is never decomposed: it is PSD exactly when both
+blocks are, the cross-covariance lies in their ranges, and no canonical
+correlation exceeds 1 (Bjorck & Golub 1973), and the whitening and the SVD
+already show all three.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +28,6 @@ from .scalar import validate_budget
 __all__ = [
     "PSD_RTOL",
     "RANK_RTOL",
-    "SPECTRUM_CLAMP_BAND",
     "SYMMETRY_RTOL",
     "CanonicalSpectrum",
     "JointGaussianCov",
@@ -36,7 +41,6 @@ __all__ = [
 SYMMETRY_RTOL = 1e-9    # relative Frobenius asymmetry tolerated on blocks
 PSD_RTOL = 1e-9         # min eigenvalue >= -PSD_RTOL * max eigenvalue
 RANK_RTOL = 1e-10       # eigenvalues below RANK_RTOL * max count as zero
-SPECTRUM_CLAMP_BAND = 1e-6  # singular values may overshoot 1 by this much
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,8 @@ class JointGaussianCov:
         Cross-covariance.
     k_y : (dy, dy) array_like
         Covariance of the second vector.
+
+    Both vectors must have at least one component.
     """
 
     k_x: np.ndarray
@@ -70,6 +76,8 @@ class JointGaussianCov:
             if block.ndim != 2 or block.shape[0] != block.shape[1]:
                 raise ParameterError(
                     f"{name} must be square, got shape {block.shape}")
+            if block.size == 0:
+                raise ParameterError(f"{name} must not be empty")
         if self.k_xy.ndim != 2 or self.k_xy.shape != (self.dim_x, self.dim_y):
             raise ParameterError(
                 f"k_xy must have shape ({self.dim_x}, {self.dim_y}), "
@@ -107,36 +115,102 @@ class JointGaussianCov:
         return np.vstack([top, bottom])
 
 
+class _Eigen(NamedTuple):
+    """One validated diagonal block in its eigenbasis.
+
+    The block is decomposed after division by ``root**2``, a power of two,
+    so ``whiten`` is in those scaled units.
+    """
+
+    sym: np.ndarray      # exactly symmetric copy, in the input's units
+    vectors: np.ndarray  # eigenvectors, eigenvalues ascending
+    whiten: np.ndarray   # 1/sqrt(eigenvalue); dropped ones use the floor
+    dropped: int         # leading eigenvalues at most RANK_RTOL * max
+    root: float
+
+
+def _eigen(name: str, block: np.ndarray) -> _Eigen:
+    """Check one square block for finiteness, symmetry and PSD, and
+    eigendecompose it once.
+
+    Eigenvalues at most ``RANK_RTOL`` times the largest are the numerical
+    null space. Their whitening weight uses ``PSD_RTOL`` times the largest
+    eigenvalue in their place, so a cross-covariance that leaves the block's
+    range shows up as a whitened entry above 1.
+    """
+    if not np.all(np.isfinite(block)):
+        raise CovarianceError(f"{name} contains non-finite entries")
+    # Dividing by a power of two near the largest entry is exact and keeps
+    # every norm and eigenvalue below in range, whatever the units.
+    root = 2.0 ** (math.frexp(float(np.max(np.abs(block))))[1] // 2)
+    scaled = block / root / root
+    asym = float(np.linalg.norm(scaled - scaled.T))
+    norm = float(np.linalg.norm(scaled))
+    if asym > SYMMETRY_RTOL * norm:
+        raise CovarianceError(
+            f"{name} is not symmetric: ||K - K^T||_F / ||K||_F = "
+            f"{asym / norm:.3e} exceeds {SYMMETRY_RTOL:.0e}")
+    sym = 0.5 * (scaled + scaled.T)
+    values, vectors = np.linalg.eigh(sym)
+    lo, hi = float(values[0]), float(values[-1])
+    if lo < -PSD_RTOL * max(hi, 0.0):
+        raise CovarianceError(
+            f"{name} is not positive semi-definite: min eigenvalue "
+            f"{lo * root * root:.6e} (max eigenvalue {hi * root * root:.6e})")
+    dropped = int(np.count_nonzero(values <= RANK_RTOL * hi))
+    # an all-zero block has hi = 0; its floor stays positive so the weights
+    # are finite, and any cross-covariance above ~1e-154 is rejected
+    values[:dropped] = max(PSD_RTOL * hi, sys.float_info.min)
+    return _Eigen(sym * root * root, vectors, 1.0 / np.sqrt(values),
+                  dropped, root)
+
+
+def _canonical(cov: JointGaussianCov) -> tuple[JointGaussianCov, np.ndarray]:
+    """Validate ``cov`` and return its symmetrized copy with the descending
+    singular values of the whitened cross-covariance.
+
+    C = U_x^T K_xy U_y in the two eigenbases, whitened on both sides. The
+    kept rows and columns give the canonical correlations; 1 - s_max is the
+    least eigenvalue of the whitened stacked covariance. The rows and
+    columns on dropped directions, whitened with the floor, must not have
+    a spectral norm above 1 either.
+    """
+    if not isinstance(cov, JointGaussianCov):
+        raise ParameterError("validate_cov expects a JointGaussianCov")
+    if not np.all(np.isfinite(cov.k_xy)):
+        raise CovarianceError("k_xy contains non-finite entries")
+    x = _eigen("k_x", cov.k_x)
+    y = _eigen("k_y", cov.k_y)
+    # only a cross-covariance far outside the blocks' ranges overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = x.vectors.T @ (cov.k_xy / x.root / y.root) @ y.vectors
+        w = c * x.whiten[:, None] * y.whiten
+    svals = np.zeros(0)
+    worst = np.inf
+    if np.all(np.isfinite(w)):
+        svals = np.linalg.svd(w[x.dropped:, y.dropped:], compute_uv=False)
+        worst = max(float(s.max(initial=0.0)) for s in (
+            svals,
+            np.linalg.svd(w[:x.dropped], compute_uv=False),
+            np.linalg.svd(w[:, :y.dropped], compute_uv=False)))
+    if worst > 1.0 + PSD_RTOL:
+        raise CovarianceError(
+            "stacked covariance is not positive semi-definite: min "
+            f"eigenvalue {1.0 - worst:.6e} after whitening each block")
+    return JointGaussianCov(x.sym, cov.k_xy, y.sym), svals
+
+
 def validate_cov(cov: JointGaussianCov) -> JointGaussianCov:
     """Check finiteness, block symmetry, and joint positive
     semi-definiteness; return a copy with exactly symmetric diagonal blocks.
 
-    Raises :class:`CovarianceError` naming the violated invariant, quoting
-    the offending eigenvalue for PSD failures.
+    Each block is checked and eigendecomposed once, and joint PSD is read
+    off the whitened cross-covariance (see :func:`canonical_correlations`),
+    so the decision does not depend on the units of X or of Y. Raises
+    :class:`CovarianceError` naming the violated invariant, quoting the
+    offending eigenvalue for PSD failures.
     """
-    if not isinstance(cov, JointGaussianCov):
-        raise ParameterError("validate_cov expects a JointGaussianCov")
-    for name in ("k_x", "k_xy", "k_y"):
-        if not np.all(np.isfinite(getattr(cov, name))):
-            raise CovarianceError(f"{name} contains non-finite entries")
-    symmetrized = {}
-    for name in ("k_x", "k_y"):
-        block = getattr(cov, name)
-        asym = float(np.linalg.norm(block - block.T))
-        scale = max(float(np.linalg.norm(block)), 1e-300)
-        if asym > SYMMETRY_RTOL * scale:
-            raise CovarianceError(
-                f"{name} is not symmetric: ||K - K^T||_F / ||K||_F = "
-                f"{asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}")
-        symmetrized[name] = 0.5 * (block + block.T)
-    clean = JointGaussianCov(symmetrized["k_x"], cov.k_xy, symmetrized["k_y"])
-    eigenvalues = np.linalg.eigvalsh(clean.stacked())
-    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    if lam_min < -PSD_RTOL * max(lam_max, 0.0):
-        raise CovarianceError(
-            "stacked covariance is not positive semi-definite: "
-            f"min eigenvalue {lam_min:.6e} (max eigenvalue {lam_max:.6e})")
-    return clean
+    return _canonical(cov)[0]
 
 
 def pinv_sqrt(m) -> np.ndarray:
@@ -151,26 +225,13 @@ def pinv_sqrt(m) -> np.ndarray:
         m = np.array(m, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"matrix is not numeric: {exc}")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise CovarianceError("matrix contains non-finite entries")
-    asym = float(np.linalg.norm(m - m.T))
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    if asym > SYMMETRY_RTOL * scale:
-        raise CovarianceError(
-            f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}")
-    values, vectors = np.linalg.eigh(0.5 * (m + m.T))
-    lam_max = float(values[-1]) if values.size else 0.0
-    if values.size and float(values[0]) < -PSD_RTOL * max(lam_max, 0.0):
-        raise CovarianceError(
-            "matrix is not positive semi-definite: "
-            f"min eigenvalue {float(values[0]):.6e}")
-    cutoff = RANK_RTOL * max(lam_max, 0.0)
-    inv_roots = np.zeros_like(values)
-    keep = values > cutoff
-    inv_roots[keep] = 1.0 / np.sqrt(values[keep])
-    return (vectors * inv_roots) @ vectors.T
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ParameterError(
+            f"matrix must be square and non-empty, got shape {m.shape}")
+    block = _eigen("matrix", m)
+    inv_roots = block.whiten / block.root
+    inv_roots[:block.dropped] = 0.0
+    return (block.vectors * inv_roots) @ block.vectors.T
 
 
 @dataclass(frozen=True)
@@ -190,25 +251,21 @@ class CanonicalSpectrum:
 
 
 def canonical_correlations(cov: JointGaussianCov) -> CanonicalSpectrum:
-    """Singular values of the whitened cross-covariance, padded and clamped.
+    """Singular values of the whitened cross-covariance, padded with zeros.
+
+    Each block is eigendecomposed once; the cross-covariance is rotated into
+    both eigenbases, whitened, and its kept block (directions above
+    ``RANK_RTOL``) goes through one SVD. The same spectrum decides joint
+    PSD: a largest value above 1 + ``PSD_RTOL``, or a cross-covariance
+    outside a block's range, raises :class:`CovarianceError`. Values in
+    (1, 1 + ``PSD_RTOL``] read as 1.
 
     The spectrum is padded with zeros to max(dx, dy), so pairs of unequal
     length behave as if the shorter vector were extended with independent
-    components. Values beyond 1 + SPECTRUM_CLAMP_BAND signal an inconsistent
-    covariance (impossible after validation) and raise; values inside the
-    band are clamped to 1.
+    components.
     """
-    cov = validate_cov(cov)
-    whitened = pinv_sqrt(cov.k_x) @ cov.k_xy @ pinv_sqrt(cov.k_y)
-    svals = np.linalg.svd(whitened, compute_uv=False)
-    rhos = []
-    for s in svals:
-        s = float(s)
-        if s > 1.0 + SPECTRUM_CLAMP_BAND:
-            raise CovarianceError(
-                f"canonical correlation {s!r} exceeds 1: covariance is "
-                "inconsistent")
-        rhos.append(min(s, 1.0))
+    cov, svals = _canonical(cov)
+    rhos = np.minimum(svals, 1.0).tolist()
     rhos.extend([0.0] * (max(cov.dim_x, cov.dim_y) - len(rhos)))
     return CanonicalSpectrum(tuple(rhos))
 

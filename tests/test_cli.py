@@ -263,6 +263,19 @@ class TestGrayWynerCommand:
         assert record["regime"] == regime
         assert (record["nu_star"] is None) == (regime != "BLEND")
 
+    @pytest.mark.parametrize("argv", [
+        ["--rho=1", "--sigma2=1e300", "--delta=1e-300", "--alpha=0"],
+        ["--rho=0.9999999999", "--sigma2=1e200", "--delta=1e-200",
+         "--alpha=900"],
+    ])
+    def test_blend_at_extreme_scales_gives_nu_star(self, capsys, argv):
+        code, out, err = run_cli(capsys, "graywyner", *argv)
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["regime"] == "BLEND"
+        assert math.isfinite(record["r0_nats"])
+        assert math.isfinite(record["nu_star"])
+
     def test_nonpositive_delta_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "graywyner", "--rho", "0.5",
                              "--sigma2", "1", "--delta", "-0.1",

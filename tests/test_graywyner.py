@@ -80,6 +80,17 @@ class TestCommonRate:
         assert point.r0 == pytest.approx(
             0.5 * math.log(0.75) + 600.0 * math.log(10.0), rel=1e-15)
 
+    @pytest.mark.parametrize("sigma2, delta", [
+        (1.0, 1e-10), (1.0, 1e-20), (1e300, 1e-300)])
+    def test_unit_correlation_blend_keeps_tiny_distortion(self, sigma2, delta):
+        # at |rho| = 1 the blended rate is -log(d)/2; d = 1e-600 is not a
+        # float, and 2d + rho - 1 must not round d away
+        point = common_rate(sigma2, 1.0, delta, 0.0)
+        assert point.regime is Regime.BLEND
+        assert point.r0 == pytest.approx(
+            -0.5 * (math.log(delta) - math.log(sigma2)), rel=1e-15)
+        assert dual_maximizer(1.0, delta, 0.0, sigma2=sigma2) == 0.5
+
     @pytest.mark.parametrize("alpha", [710.0, 800.0, math.inf])
     def test_large_private_rate_is_zero_regime(self, alpha):
         point = common_rate(1.0, 0.5, 0.1, alpha)
@@ -178,6 +189,14 @@ class TestDualMaximizer:
         alpha = math.log(0.8) - math.log(1e-309)
         assert dual_maximizer(0.5, 1e-309, alpha) == pytest.approx(
             0.8 / 1.1, rel=1e-12)
+
+    def test_variance_keeps_an_underflowing_ratio(self):
+        # delta / sigma2 = 1e-400 underflows, but d = 1e-400 * e^900 is in
+        # the blend range
+        rho = 0.9999999999
+        nu = dual_maximizer(rho, 1e-200, 900.0, sigma2=1e200)
+        d = math.exp(900.0 - 400.0 * math.log(10.0))
+        assert nu == pytest.approx(d / (2.0 * d - (1.0 - rho)), rel=1e-12)
 
     def test_rejects_outside_blend_regime(self):
         with pytest.raises(ParameterError):

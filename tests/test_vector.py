@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausswyner import scalar, vector
 from gausswyner.errors import CovarianceError, ParameterError
@@ -42,6 +44,12 @@ class TestJointGaussianCov:
         with pytest.raises(ParameterError):
             JointGaussianCov([["a"]], [[0.0]], [[1.0]])
 
+    @pytest.mark.parametrize("dx, dy", [(0, 0), (2, 0), (0, 1)])
+    def test_rejects_empty_blocks(self, dx, dy):
+        with pytest.raises(ParameterError, match="empty"):
+            vector.wyner_ci_vector(JointGaussianCov(
+                np.eye(dx), np.zeros((dx, dy)), np.eye(dy)), 0.1)
+
 
 class TestValidateCov:
     def test_identity_blocks_pass(self):
@@ -75,6 +83,39 @@ class TestValidateCov:
         cov = JointGaussianCov([[1.0]], [[math.nan]], [[1.0]])
         with pytest.raises(CovarianceError, match="non-finite"):
             vector.validate_cov(cov)
+
+    @pytest.mark.parametrize("s", [1e-170, 1e160])
+    def test_asymmetry_detected_at_extreme_scales(self, s):
+        # Frobenius norms of the raw block under- or overflow at these scales
+        kx = np.array([[s, 2.0 * s], [s, s]])
+        cov = JointGaussianCov(kx, np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(CovarianceError, match="symmetric"):
+            vector.validate_cov(cov)
+
+    @pytest.mark.parametrize("c", [1.0, 1e3])
+    def test_cross_covariance_outside_range_fails_in_any_units(self, c):
+        # Y in units c: K_xy * c, K_y * c^2. The second component of X has
+        # zero variance but a nonzero covariance with Y.
+        cov = JointGaussianCov(np.diag([1.0, 0.0]), [[0.0], [1e-4 * c]],
+                               [[c * c]])
+        with pytest.raises(CovarianceError,
+                           match="positive semi-definite.*eigenvalue"):
+            vector.validate_cov(cov)
+
+    def test_overflowing_whitened_cross_covariance_fails(self):
+        cov = JointGaussianCov([[1e-300]], [[1e10]], [[1e-300]])
+        with pytest.raises(CovarianceError,
+                           match="positive semi-definite.*eigenvalue -inf"):
+            vector.validate_cov(cov)
+
+    @pytest.mark.parametrize("kxy, ok", [(0.0, True), (1e-3, False)])
+    def test_zero_block_admits_only_zero_cross_covariance(self, kxy, ok):
+        cov = JointGaussianCov([[0.0]], [[kxy]], [[1.0]])
+        if ok:
+            assert vector.canonical_correlations(cov).rhos == (0.0,)
+        else:
+            with pytest.raises(CovarianceError, match="positive semi-definite"):
+                vector.canonical_correlations(cov)
 
 
 class TestPinvSqrt:
@@ -206,3 +247,70 @@ class TestWynerCiVector:
             assert vector.wyner_ci_vector(padded, gamma).value_nats == \
                 pytest.approx(vector.wyner_ci_vector(cov, gamma).value_nats,
                               abs=1e-10)
+
+
+def _planted(rng, kind):
+    """Blocks of a small pair, valid or clearly invalid by ``kind``.
+
+    K_x = A A^T, K_y = B B^T and K_xy = A R B^T with R = diag(rhos), so the
+    canonical correlations are the planted ``rhos``. "rank_deficient" gives
+    each block a null space; "too_correlated" plants rho = 1.3;
+    "outside_range" adds cross-covariance along the null space of K_x.
+    """
+    dx, dy = (int(v) for v in rng.integers(2, 5, size=2))
+    rank_x = dx - 1 if kind in ("rank_deficient", "outside_range") else dx
+    rank_y = dy - 1 if kind == "rank_deficient" else dy
+    a = np.linalg.qr(rng.normal(size=(dx, dx)))[0]
+    b = np.linalg.qr(rng.normal(size=(dy, dy)))[0][:, :rank_y]
+    a_range = a[:, :rank_x] * rng.uniform(0.5, 2.0, rank_x)
+    b = b * rng.uniform(0.5, 2.0, rank_y)
+    r = np.zeros((rank_x, rank_y))
+    m = min(rank_x, rank_y)
+    r[np.arange(m), np.arange(m)] = sorted(rng.uniform(0.0, 0.95, m),
+                                           reverse=True)
+    if kind == "too_correlated":
+        r[0, 0] = 1.3
+    kxy = a_range @ r @ b.T
+    if kind == "outside_range":
+        kxy += 1e-3 * np.outer(a[:, -1], b[:, 0])
+    return a_range @ a_range.T, kxy, b @ b.T
+
+
+def _outcome(kx, kxy, ky):
+    try:
+        return vector.canonical_correlations(JointGaussianCov(kx, kxy, ky))
+    except CovarianceError:
+        return None
+
+
+_KINDS = ("valid", "rank_deficient", "too_correlated", "outside_range")
+
+
+class TestUnitInvariance:
+    """The spectrum and the accept/reject decision do not depend on the
+    units of the pair, or of X and Y separately."""
+
+    def _check(self, seed, kind, fx, fxy, fy):
+        kx, kxy, ky = _planted(np.random.default_rng(seed), kind)
+        base = _outcome(kx, kxy, ky)
+        scaled = _outcome(kx * fx, kxy * fxy, ky * fy)
+        assert (base is None) == (kind in ("too_correlated", "outside_range"))
+        assert (scaled is None) == (base is None)
+        if base is not None:
+            np.testing.assert_allclose(scaled.rhos, base.rhos,
+                                       rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS),
+           k=st.integers(-300, 300))
+    def test_whole_covariance_scaling(self, seed, kind, k):
+        f = 10.0 ** k
+        self._check(seed, kind, f, f, f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS),
+           j=st.integers(-150, 150), k=st.integers(-150, 150))
+    def test_separate_block_scaling(self, seed, kind, j, k):
+        # X in units 10^-j and Y in units 10^-k
+        self._check(seed, kind, 10.0 ** (2 * j), 10.0 ** (j + k),
+                    10.0 ** (2 * k))
