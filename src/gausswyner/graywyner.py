@@ -87,13 +87,6 @@ def _distortion(log_d: float) -> float:
     return math.exp(min(max(log_d, _LOG_MIN), 1.0))
 
 
-def _blend_denominator(d: float, r: float) -> float:
-    """2d + r - 1, subtracting 1 - r last. In the blended regime
-    d >= 1 - r, so the difference is at least d and loses nothing to
-    cancellation; adding r first would round d away near |rho| = 1."""
-    return 2.0 * d - (1.0 - r)
-
-
 def common_rate(sigma2: float, rho: float, delta: float,
                 alpha_private: float) -> GrayWynerPoint:
     """Minimal shared-link rate at distortion ``delta`` and private-rate cap
@@ -112,10 +105,12 @@ def common_rate(sigma2: float, rho: float, delta: float,
     if log_d > 0.0:
         r0, regime = 0.0, Regime.INFEASIBLE_ZERO
     elif (d := _distortion(log_d)) >= 1.0 - r:
-        # d is floored only where log d < _LOG_MIN, which below |rho| = 1
-        # is the saturated branch; at |rho| = 1 the ratio is 1/d, so the
-        # part of log d under the floor is added back
-        r0 = max(0.5 * (math.log((1.0 + r) / _blend_denominator(d, r))
+        # 2d + r - 1 subtracts 1 - r last: d >= 1 - r here, and adding r
+        # first would round d away near |rho| = 1. d is floored only where
+        # log d < _LOG_MIN, which below |rho| = 1 is the saturated branch;
+        # at |rho| = 1 the ratio is 1/d, so the part of log d under the
+        # floor is added back
+        r0 = max(0.5 * (math.log((1.0 + r) / (2.0 * d - (1.0 - r)))
                         - min(log_d - _LOG_MIN, 0.0)), 0.0)
         regime = Regime.BLEND
     else:
@@ -174,5 +169,5 @@ def dual_maximizer(rho: float, delta: float, alpha_private: float,
         raise ParameterError(
             f"distortion product exp({log_d!r}) outside [{1.0 - r!r}, 1]; "
             "the dual maximum sits at nu = 1 below this range")
-    nu = d / _blend_denominator(d, r)
+    nu = d / (2.0 * d - (1.0 - r))
     return min(max(nu, 1.0 / (1.0 + r)), 1.0)

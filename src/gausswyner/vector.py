@@ -136,7 +136,7 @@ def _eigen(name: str, block: np.ndarray) -> _Eigen:
     Eigenvalues at most ``RANK_RTOL`` times the largest are the numerical
     null space. Their whitening weight uses ``PSD_RTOL`` times the largest
     eigenvalue in their place, so a cross-covariance that leaves the block's
-    range shows up as a whitened entry above 1.
+    range lifts the norm of the whitened cross-covariance above 1.
     """
     if not np.all(np.isfinite(block)):
         raise CovarianceError(f"{name} contains non-finite entries")
@@ -170,10 +170,13 @@ def _canonical(cov: JointGaussianCov) -> tuple[JointGaussianCov, np.ndarray]:
     singular values of the whitened cross-covariance.
 
     C = U_x^T K_xy U_y in the two eigenbases, whitened on both sides. The
-    kept rows and columns give the canonical correlations; 1 - s_max is the
-    least eigenvalue of the whitened stacked covariance. The rows and
-    columns on dropped directions, whitened with the floor, must not have
-    a spectral norm above 1 either.
+    kept rows and columns give the canonical correlations. 1 - ||W|| is the
+    least eigenvalue of the whitened stacked covariance [[I, W], [W^T, I]],
+    where W is the whole whitened block, its dropped rows and columns
+    whitened with the floor. Without dropped directions ||W|| is the
+    largest canonical correlation; with them it is the norm of the whole
+    block, since the kept block and the dropped rows and columns can each
+    have norm at most 1 while W does not.
     """
     if not isinstance(cov, JointGaussianCov):
         raise ParameterError("validate_cov expects a JointGaussianCov")
@@ -189,10 +192,8 @@ def _canonical(cov: JointGaussianCov) -> tuple[JointGaussianCov, np.ndarray]:
     worst = np.inf
     if np.all(np.isfinite(w)):
         svals = np.linalg.svd(w[x.dropped:, y.dropped:], compute_uv=False)
-        worst = max(float(s.max(initial=0.0)) for s in (
-            svals,
-            np.linalg.svd(w[:x.dropped], compute_uv=False),
-            np.linalg.svd(w[:, :y.dropped], compute_uv=False)))
+        worst = float(np.linalg.norm(w, 2) if x.dropped or y.dropped
+                      else svals[0])
     if worst > 1.0 + PSD_RTOL:
         raise CovarianceError(
             "stacked covariance is not positive semi-definite: min "
@@ -255,9 +256,11 @@ def canonical_correlations(cov: JointGaussianCov) -> CanonicalSpectrum:
 
     Each block is eigendecomposed once; the cross-covariance is rotated into
     both eigenbases, whitened, and its kept block (directions above
-    ``RANK_RTOL``) goes through one SVD. The same spectrum decides joint
-    PSD: a largest value above 1 + ``PSD_RTOL``, or a cross-covariance
-    outside a block's range, raises :class:`CovarianceError`. Values in
+    ``RANK_RTOL``) goes through one SVD. The same whitening decides joint
+    PSD: if the whitened cross-covariance has spectral norm above
+    1 + ``PSD_RTOL`` (its largest canonical correlation when both blocks
+    have full rank, else the norm of the whole block, with dropped
+    directions floored), :class:`CovarianceError` is raised. Values in
     (1, 1 + ``PSD_RTOL``] read as 1.
 
     The spectrum is padded with zeros to max(dx, dy), so pairs of unequal

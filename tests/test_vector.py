@@ -93,10 +93,14 @@ class TestValidateCov:
             vector.validate_cov(cov)
 
     @pytest.mark.parametrize("c", [1.0, 1e3])
-    def test_cross_covariance_outside_range_fails_in_any_units(self, c):
+    @pytest.mark.parametrize("kept", [0.0, 0.999, 1.0])
+    def test_cross_covariance_outside_range_fails_in_any_units(self, kept, c):
         # Y in units c: K_xy * c, K_y * c^2. The second component of X has
-        # zero variance but a nonzero covariance with Y.
-        cov = JointGaussianCov(np.diag([1.0, 0.0]), [[0.0], [1e-4 * c]],
+        # zero variance but a nonzero covariance with Y. With a kept
+        # correlation near 1, the range violation alone whitens below 1,
+        # yet the two together do not: the whole block has norm ~1.34.
+        small = 1e-4 if kept == 0.0 else 2.8e-5
+        cov = JointGaussianCov(np.diag([1.0, 0.0]), [[kept * c], [small * c]],
                                [[c * c]])
         with pytest.raises(CovarianceError,
                            match="positive semi-definite.*eigenvalue"):
