@@ -25,15 +25,19 @@ from .scalar import (
     mutual_information,
     wyner_ci_scalar,
 )
-from .vector import (
-    CanonicalSpectrum,
-    JointGaussianCov,
-    VectorCI,
-    canonical_correlations,
-    pinv_sqrt,
-    validate_cov,
-    wyner_ci_vector,
-)
+
+# The vector names need numpy, which the closed forms never use: they are
+# resolved from the vector module on first access (PEP 562), so importing
+# the package, or running a scalar command, does not load numpy.
+_VECTOR_NAMES = frozenset({
+    "CanonicalSpectrum",
+    "JointGaussianCov",
+    "VectorCI",
+    "canonical_correlations",
+    "pinv_sqrt",
+    "validate_cov",
+    "wyner_ci_vector",
+})
 
 __all__ = [
     "__version__",
@@ -62,3 +66,14 @@ __all__ = [
     "wyner_ci_scalar",
     "wyner_ci_vector",
 ]
+
+
+def __getattr__(name):
+    if name in _VECTOR_NAMES:
+        from . import vector
+        return getattr(vector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _VECTOR_NAMES)

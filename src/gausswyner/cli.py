@@ -17,9 +17,16 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from . import __version__, graywyner, oracle, scalar, vector
+# vector and oracle load numpy, which scalar, curve and graywyner never use,
+# so the commands that need them import them where they run
+from . import __version__, graywyner, scalar
+from ._suites import SUITES
 from .errors import CovarianceError, ParameterError
+
+if TYPE_CHECKING:
+    from .vector import JointGaussianCov
 
 __all__ = ["main"]
 
@@ -69,7 +76,9 @@ def _cmd_scalar(args) -> int:
     return 0
 
 
-def _cov_from_payload(payload) -> vector.JointGaussianCov:
+def _cov_from_payload(payload) -> JointGaussianCov:
+    from . import vector
+
     if not isinstance(payload, dict):
         raise ParameterError("covariance file must contain a JSON object")
     if {"kx", "ky", "kxy"} <= payload.keys():
@@ -87,6 +96,8 @@ def _cov_from_payload(payload) -> vector.JointGaussianCov:
 
 
 def _cmd_vector(args) -> int:
+    from . import vector
+
     with open(args.input, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     cov = _cov_from_payload(payload)
@@ -148,6 +159,8 @@ def _cmd_graywyner(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     reports = oracle.run_suite(args.suite)
     record = _base_record("verify", {"suite": args.suite})
     record["checks"] = [report.as_dict() for report in reports]
@@ -203,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graywyner)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
-    p.add_argument("--suite", choices=oracle.SUITES, required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -163,9 +163,11 @@ def dual_maximizer(rho: float, delta: float, alpha_private: float,
     delta = _check_positive(delta, "delta")
     alpha_private = _check_nonneg(alpha_private, "alpha_private")
     log_d = _log_distortion(sigma2, delta, alpha_private)
-    # d is capped at e, and any d above 1 + 1e-12 is rejected either way
+    # d is capped at e, and any d above 1 + 1e-12 is rejected either way.
+    # The lower slack is relative: near |rho| = 1 an absolute one would
+    # admit d <= (1 - |rho|)/2, where the denominator below is not positive
     d = _distortion(log_d)
-    if d < (1.0 - r) - 1e-12 or d > 1.0 + 1e-12:
+    if d < (1.0 - r) * (1.0 - 1e-12) or d > 1.0 + 1e-12:
         raise ParameterError(
             f"distortion product exp({log_d!r}) outside [{1.0 - r!r}, 1]; "
             "the dual maximum sits at nu = 1 below this range")

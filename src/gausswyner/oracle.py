@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import allocation, graywyner, scalar
+from ._suites import SUITES
 from .errors import ParameterError
 
 __all__ = [
@@ -503,8 +504,6 @@ def erasure_construction_check(gamma: float) -> CheckReport:
 # ---------------------------------------------------------------------------
 # published suite matrix
 # ---------------------------------------------------------------------------
-
-SUITES = ("scalar", "waterfill", "envelope", "graywyner", "discrete", "all")
 
 _SCALAR_INSTANCES = ((0.5, 0.1), (0.8, 0.05), (0.3, 0.02), (0.9, 0.4))
 _WATERFILL_INSTANCES = (

@@ -1,12 +1,19 @@
 """Command-line contract: JSON records, CSV output, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gausswyner
 from gausswyner import cli, scalar
 
 LN2 = math.log(2.0)
@@ -324,3 +331,168 @@ class TestEntryPoint:
         record = json.loads(proc.stdout)
         assert record["value_nats"] == pytest.approx(0.0946030591935194,
                                                      abs=1e-9)
+
+
+# every float class the parsers can meet: signed zeros, non-finite values,
+# the ends of the normal range, subnormals, and ordinary magnitudes
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308,
+                     -1e308, 1e-308, -1e-308, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.0, -1.0]),
+    st.floats(-2.0, 2.0),
+    st.floats(),
+)
+
+
+def _flag(name, value):
+    # joined with "=" so that argparse never reads a negative exponent as
+    # an option
+    return f"--{name}={value!r}"
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    return [[draw(EDGE_FLOATS) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _joint_covariances(draw):
+    # B B^T for a random factor B: positive semi-definite whenever the
+    # products stay finite, so the numerical path runs, not only the checks
+    n = draw(st.integers(2, 4))
+    factor = draw(_matrices(n, draw(st.integers(1, 4))))
+    return [[sum(a * b for a, b in zip(row_i, row_j))
+             for row_j in factor] for row_i in factor]
+
+
+@st.composite
+def _vector_payloads(draw):
+    dims = st.integers(0, 3)
+    form = draw(st.sampled_from(["blocks", "joint", "product"]))
+    if form == "blocks":
+        dx, dy, rows, cols = (draw(dims) for _ in range(4))
+        return {"kx": draw(_matrices(dx, dx)), "ky": draw(_matrices(dy, dy)),
+                "kxy": draw(_matrices(rows, cols))}
+    if form == "joint":
+        n = draw(dims)
+        joint = draw(_matrices(n, n))
+    else:
+        joint = draw(_joint_covariances())
+        n = len(joint)
+    # a valid split often enough to reach the spectrum, plus the invalid ones
+    dim_x = draw(st.integers(1, max(n - 1, 1)) | st.integers(-1, n + 1))
+    return {"joint": joint, "dim_x": dim_x}
+
+
+@st.composite
+def _commands(draw):
+    """argv for one closed-form or vector command, with "{out}" and "{cov}"
+    standing for the output and covariance paths, and the covariance
+    payload (None for the commands that read no file)."""
+    command = draw(st.sampled_from(["scalar", "curve", "graywyner",
+                                    "vector"]))
+    payload = None
+    if command == "scalar":
+        argv = ["scalar", _flag("rho", draw(EDGE_FLOATS)),
+                _flag("gamma", draw(EDGE_FLOATS))]
+    elif command == "curve":
+        argv = ["curve", _flag("rho", draw(EDGE_FLOATS)),
+                _flag("gamma-max", draw(EDGE_FLOATS)),
+                f"--steps={draw(st.integers(-2, 40))}", "--output={out}"]
+    elif command == "graywyner":
+        argv = ["graywyner", _flag("rho", draw(EDGE_FLOATS)),
+                _flag("sigma2", draw(EDGE_FLOATS)),
+                _flag("delta", draw(EDGE_FLOATS)),
+                _flag("alpha", draw(EDGE_FLOATS))]
+    else:
+        payload = draw(_vector_payloads())
+        argv = ["vector", "--input={cov}", _flag("gamma", draw(EDGE_FLOATS))]
+    if command != "curve" and draw(st.booleans()):
+        argv.append("--bits")
+    return argv, payload
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_commands())
+    def test_exit_code_is_documented(self, case):
+        argv, payload = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cov = Path(tmp, "cov.json")
+            if payload is not None:
+                cov.write_text(json.dumps(payload), encoding="utf-8")
+            argv = [arg.format(out=Path(tmp, "curve.csv"), cov=cov)
+                    for arg in argv]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in {0, 2, 3, 4}, (argv, stderr.getvalue())
+        if code == 0 and argv[0] != "curve":
+            json.loads(stdout.getvalue())
+
+
+_NUMPY_AT_EXIT = (
+    "import runpy, sys\n"
+    "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
+    "try:\n"
+    "    runpy.run_module('gausswyner', run_name='__main__')\n"
+    "finally:\n"
+    "    print('numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
+class TestLazyNumpy:
+    @pytest.mark.parametrize("argv", [
+        ["scalar", "--rho=0.5", "--gamma=0.1"],
+        ["graywyner", "--rho=0.5", "--delta=0.75", "--alpha=0"],
+        ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
+         "--output={out}"],
+    ])
+    def test_closed_form_commands_do_not_load_numpy(self, tmp_path, argv):
+        argv = [arg.format(out=tmp_path / "curve.csv") for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_AT_EXIT, *argv],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "False"
+
+    def test_package_and_cli_import_do_not_load_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gausswyner, gausswyner.cli; "
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_vector_and_verify_still_run(self, tmp_path):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
+                                    "dim_x": 1}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gausswyner", "vector",
+             f"--input={path}", "--gamma=0.1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["value_nats"] == pytest.approx(
+            0.0946030591935194, abs=1e-9)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gausswyner", "verify", "--suite=scalar"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["all_passed"] is True
+
+    def test_vector_names_resolve_on_access(self):
+        namespace = {}
+        exec("from gausswyner import *", namespace)
+        assert set(gausswyner.__all__) <= namespace.keys()
+        from gausswyner import vector
+        assert gausswyner.wyner_ci_vector is vector.wyner_ci_vector
+        assert namespace["JointGaussianCov"] is vector.JointGaussianCov
+        assert set(gausswyner.__all__) <= set(dir(gausswyner))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gausswyner.no_such_name

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gausswyner import graywyner
 from gausswyner.errors import ParameterError
@@ -203,3 +205,33 @@ class TestDualMaximizer:
             dual_maximizer(0.5, 0.3, 0.0)
         with pytest.raises(ParameterError):
             dual_maximizer(0.5, 1.5, 0.0)
+
+    def test_saturated_point_near_unit_correlation_is_rejected(self):
+        # d = 1e-13 lies far below 1 - rho = 2**-40, where the blended
+        # denominator 2d - (1 - rho) is negative
+        rho = 1.0 - 2.0 ** -40
+        assert common_rate(1.0, rho, 1e-13, 0.0).regime is Regime.SATURATED_NU
+        with pytest.raises(ParameterError):
+            dual_maximizer(rho, 1e-13, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.floats(-1.0, 1.0),
+           sigma2=st.floats(1e-300, 1e300),
+           alpha=st.floats(0.0, 1500.0),
+           t=st.floats(0.0, 1.0))
+    def test_blend_points_have_a_maximizer_in_range(self, rho, sigma2, alpha,
+                                                    t):
+        # aim d = delta / sigma2 * e^alpha at [1 - |rho|, 1]; rounding may
+        # land a draw outside BLEND, which the property does not cover
+        r = abs(rho)
+        d = (1.0 - r) + t * r
+        assume(d > 0.0)
+        log_delta = math.log(d) + math.log(sigma2) - alpha
+        assume(-745.0 < log_delta < 709.0)
+        delta = math.exp(log_delta)
+        assume(delta > 0.0)
+        point = common_rate(sigma2, rho, delta, alpha)
+        assume(point.regime is Regime.BLEND)
+        nu = dual_maximizer(rho, delta, alpha, sigma2=sigma2)
+        assert math.isfinite(nu)
+        assert 1.0 / (1.0 + r) <= nu <= 1.0
