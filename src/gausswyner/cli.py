@@ -85,12 +85,8 @@ def _cov_from_payload(payload) -> JointGaussianCov:
         return vector.JointGaussianCov(
             payload["kx"], payload["kxy"], payload["ky"])
     if {"joint", "dim_x"} <= payload.keys():
-        try:
-            dim_x = int(payload["dim_x"])
-        except (TypeError, ValueError):
-            raise ParameterError(
-                f"dim_x must be an integer, got {payload['dim_x']!r}")
-        return vector.JointGaussianCov.from_joint(payload["joint"], dim_x)
+        return vector.JointGaussianCov.from_joint(payload["joint"],
+                                                  payload["dim_x"])
     raise ParameterError(
         'covariance file needs keys "kx"/"ky"/"kxy" or "joint"/"dim_x"')
 
@@ -99,7 +95,13 @@ def _cmd_vector(args) -> int:
     from . import vector
 
     with open(args.input, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        # ValueError covers bad syntax, bytes that are not UTF-8 and
+        # over-long integers; nesting deeper than the parser's stack limit
+        # raises RecursionError
+        try:
+            payload = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise ParameterError(f"invalid JSON: {exc}") from None
     cov = _cov_from_payload(payload)
     gamma = scalar.validate_budget(args.gamma)
     result = vector.wyner_ci_vector(cov, gamma)
@@ -141,10 +143,6 @@ def _cmd_graywyner(args) -> int:
     point = graywyner.common_rate(args.sigma2, args.rho, args.delta,
                                   args.alpha)
     suffix, div = _units(args)
-    nu_star = None
-    if point.regime is graywyner.Regime.BLEND:
-        nu_star = graywyner.dual_maximizer(args.rho, args.delta, args.alpha,
-                                           sigma2=args.sigma2)
     record = _base_record("graywyner", {
         "rho": args.rho,
         "sigma2": args.sigma2,
@@ -153,7 +151,7 @@ def _cmd_graywyner(args) -> int:
     })
     record[f"r0_{suffix}"] = point.r0 / div
     record["regime"] = point.regime.value
-    record["nu_star"] = nu_star
+    record["nu_star"] = point.nu_star
     _emit(record)
     return 0
 
@@ -226,9 +224,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ private links. For equal source variances, symmetric mean-squared-error
 target ``delta``, and a cap ``alpha_private`` on the sum of private rates,
 :func:`common_rate` evaluates the smallest achievable R0 in closed form.
 :func:`dual_objective` is the Lagrangian lower bound whose maximum over the
-multiplier ``nu`` matches the closed form; :func:`dual_maximizer` is its
-stationary point inside the blended regime.
+multiplier ``nu`` matches the closed form; in the blended regime
+:func:`common_rate` also returns the maximizer ``nu_star``.
 
 All rates are in nats (``alpha_private`` enters as e^alpha).
 """
@@ -25,7 +25,6 @@ __all__ = [
     "GrayWynerPoint",
     "Regime",
     "common_rate",
-    "dual_maximizer",
     "dual_objective",
 ]
 
@@ -51,6 +50,7 @@ class GrayWynerPoint:
     alpha_private: float
     r0: float
     regime: Regime
+    nu_star: float | None  # dual maximizer; None outside the BLEND regime
 
 
 def _check_positive(value: float, name: str) -> float:
@@ -81,12 +81,6 @@ def _log_distortion(sigma2: float, delta: float, alpha_private: float) -> float:
     return math.log(delta) - math.log(sigma2) + alpha_private
 
 
-def _distortion(log_d: float) -> float:
-    """e^log_d with log d capped at 1 and floored at the log of the
-    smallest normal float, so that it neither overflows nor reaches 0."""
-    return math.exp(min(max(log_d, _LOG_MIN), 1.0))
-
-
 def common_rate(sigma2: float, rho: float, delta: float,
                 alpha_private: float) -> GrayWynerPoint:
     """Minimal shared-link rate at distortion ``delta`` and private-rate cap
@@ -95,6 +89,8 @@ def common_rate(sigma2: float, rho: float, delta: float,
     Negative correlation is folded to |rho|: flipping the sign of one source
     is a lossless relabeling under squared error. The source variance only
     enters through delta/sigma2, so scaling both leaves the rate unchanged.
+    In the BLEND regime ``nu_star`` is the maximizer of
+    :func:`dual_objective`; in the other two it is None.
     """
     sigma2 = _check_positive(sigma2, "sigma2")
     delta = _check_positive(delta, "delta")
@@ -102,21 +98,25 @@ def common_rate(sigma2: float, rho: float, delta: float,
     rho = validate_correlation(rho)
     r = abs(rho)
     log_d = _log_distortion(sigma2, delta, alpha_private)
+    nu_star = None
     if log_d > 0.0:
         r0, regime = 0.0, Regime.INFEASIBLE_ZERO
-    elif (d := _distortion(log_d)) >= 1.0 - r:
+    elif (d := math.exp(max(log_d, _LOG_MIN))) >= 1.0 - r:
         # 2d + r - 1 subtracts 1 - r last: d >= 1 - r here, and adding r
-        # first would round d away near |rho| = 1. d is floored only where
-        # log d < _LOG_MIN, which below |rho| = 1 is the saturated branch;
-        # at |rho| = 1 the ratio is 1/d, so the part of log d under the
-        # floor is added back
-        r0 = max(0.5 * (math.log((1.0 + r) / (2.0 * d - (1.0 - r)))
+        # first would round d away near |rho| = 1. d is floored at the
+        # smallest normal float only where log d < _LOG_MIN, which below
+        # |rho| = 1 is the saturated branch; at |rho| = 1 the ratio is 1/d,
+        # so the part of log d under the floor is added back
+        denom = 2.0 * d - (1.0 - r)
+        r0 = max(0.5 * (math.log((1.0 + r) / denom)
                         - min(log_d - _LOG_MIN, 0.0)), 0.0)
+        nu_star = min(max(d / denom, 1.0 / (1.0 + r)), 1.0)
         regime = Regime.BLEND
     else:
         r0 = max(0.5 * math.log1p(-r * r) - log_d, 0.0)
         regime = Regime.SATURATED_NU
-    return GrayWynerPoint(sigma2, rho, delta, alpha_private, r0, regime)
+    return GrayWynerPoint(sigma2, rho, delta, alpha_private, r0, regime,
+                          nu_star)
 
 
 def dual_objective(rho: float, delta: float, alpha_private: float,
@@ -146,30 +146,3 @@ def dual_objective(rho: float, delta: float, alpha_private: float,
         + 0.5 * (1.0 - nu) * math.log(two_nu_m1)
     )
 
-
-def dual_maximizer(rho: float, delta: float, alpha_private: float,
-                   sigma2: float = 1.0) -> float:
-    """Stationary point of :func:`dual_objective` at source variance
-    ``sigma2``.
-
-    Defined only while the distortion product delta / sigma2 * e^alpha lies
-    in [1 - |rho|, 1]; below that range the dual maximum is pinned at nu = 1
-    and this function rejects. Passing ``sigma2`` rather than a normalized
-    delta keeps the product exact where delta / sigma2 alone would
-    underflow.
-    """
-    r = abs(validate_correlation(rho))
-    sigma2 = _check_positive(sigma2, "sigma2")
-    delta = _check_positive(delta, "delta")
-    alpha_private = _check_nonneg(alpha_private, "alpha_private")
-    log_d = _log_distortion(sigma2, delta, alpha_private)
-    # d is capped at e, and any d above 1 + 1e-12 is rejected either way.
-    # The lower slack is relative: near |rho| = 1 an absolute one would
-    # admit d <= (1 - |rho|)/2, where the denominator below is not positive
-    d = _distortion(log_d)
-    if d < (1.0 - r) * (1.0 - 1e-12) or d > 1.0 + 1e-12:
-        raise ParameterError(
-            f"distortion product exp({log_d!r}) outside [{1.0 - r!r}, 1]; "
-            "the dual maximum sits at nu = 1 below this range")
-    nu = d / (2.0 * d - (1.0 - r))
-    return min(max(nu, 1.0 / (1.0 + r)), 1.0)

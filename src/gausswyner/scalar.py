@@ -202,8 +202,10 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
     joint_entropy = _LOG_2PIE + 0.5 * math.log1p(-r * r)
     envelope = _LOG_2PIE + 0.5 * math.log(
         (1.0 - r) ** 2 * (mu + 1.0) / (mu - 1.0))
+    # log(mu^2 / (mu^2 - 1)) without squaring mu, which overflows past
+    # about 1.3e154
     return (joint_entropy - mu * gamma
-            + 0.5 * mu * math.log(mu * mu / (mu * mu - 1.0)) - envelope)
+            - 0.5 * mu * math.log1p(-1.0 / mu / mu) - envelope)
 
 
 def dual_maximizer(gamma: float) -> float:

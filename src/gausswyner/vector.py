@@ -93,7 +93,11 @@ class JointGaussianCov:
 
     @classmethod
     def from_joint(cls, joint, dim_x: int) -> "JointGaussianCov":
-        """Split one stacked covariance matrix into blocks."""
+        """Split one stacked covariance matrix into blocks.
+
+        ``dim_x`` must be a whole number: an int, a numpy integer, or a
+        float with no fractional part. A bool or a string is rejected.
+        """
         try:
             joint = np.array(joint, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -101,11 +105,15 @@ class JointGaussianCov:
         if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
             raise ParameterError(
                 f"joint covariance must be square, got shape {joint.shape}")
-        n = joint.shape[0]
-        if not 0 < dim_x < n:
-            raise ParameterError(
-                f"dim_x must lie strictly between 0 and {n}, got {dim_x}")
+        if isinstance(dim_x, float) and dim_x.is_integer():
+            dim_x = int(dim_x)
+        if isinstance(dim_x, bool) or not isinstance(dim_x, (int, np.integer)):
+            raise ParameterError(f"dim_x must be a whole number, got {dim_x!r}")
         d = int(dim_x)
+        n = joint.shape[0]
+        if not 0 < d < n:
+            raise ParameterError(
+                f"dim_x must lie strictly between 0 and {n}, got {d}")
         return cls(joint[:d, :d], joint[:d, d:], joint[d:, d:])
 
     def stacked(self) -> np.ndarray:

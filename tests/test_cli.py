@@ -168,6 +168,31 @@ class TestVectorCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" * 100_000,
+        b'{"dim_x": ' + b"9" * 5000 + b"}",
+    ], ids=["not-utf8", "nested-past-the-stack", "int-too-long"])
+    def test_unparseable_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, "vector", "--input", str(path),
+                               "--gamma", "0")
+        assert code == 2
+        assert err.startswith("error: invalid JSON: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dim_x", [1.9, True, "1", None])
+    def test_split_that_is_not_whole_exits_2(self, tmp_path, capsys, dim_x):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
+                                    "dim_x": dim_x}))
+        code, out, err = run_cli(capsys, "vector", "--input", str(path),
+                                 "--gamma", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "dim_x must be a whole number" in err
+
     def test_wrong_keys_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sigma": [[1.0]]}))
@@ -379,8 +404,10 @@ def _vector_payloads(draw):
     else:
         joint = draw(_joint_covariances())
         n = len(joint)
-    # a valid split often enough to reach the spectrum, plus the invalid ones
-    dim_x = draw(st.integers(1, max(n - 1, 1)) | st.integers(-1, n + 1))
+    # a valid split often enough to reach the spectrum, plus the invalid ones:
+    # out of range, not whole, or not a number
+    dim_x = draw(st.integers(1, max(n - 1, 1)) | st.integers(-1, n + 1)
+                 | EDGE_FLOATS | st.sampled_from([True, False, "1", None]))
     return {"joint": joint, "dim_x": dim_x}
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gausswyner import graywyner
+from gausswyner import oracle
 from gausswyner.errors import ParameterError
-from gausswyner.graywyner import Regime, common_rate, dual_maximizer, dual_objective
+from gausswyner.graywyner import Regime, common_rate, dual_objective
 
 
 class TestCommonRate:
@@ -91,7 +91,7 @@ class TestCommonRate:
         assert point.regime is Regime.BLEND
         assert point.r0 == pytest.approx(
             -0.5 * (math.log(delta) - math.log(sigma2)), rel=1e-15)
-        assert dual_maximizer(1.0, delta, 0.0, sigma2=sigma2) == 0.5
+        assert point.nu_star == 0.5
 
     @pytest.mark.parametrize("alpha", [710.0, 800.0, math.inf])
     def test_large_private_rate_is_zero_regime(self, alpha):
@@ -127,9 +127,9 @@ class TestDualObjective:
 
     def test_at_maximizer_matches_blend_branch(self):
         rho, delta, alpha = 0.5, 0.75, 0.0
-        nu = dual_maximizer(rho, delta, alpha)
-        assert dual_objective(rho, delta, alpha, nu) == pytest.approx(
-            common_rate(1.0, rho, delta, alpha).r0, abs=1e-10)
+        point = common_rate(1.0, rho, delta, alpha)
+        assert dual_objective(rho, delta, alpha, point.nu_star) == \
+            pytest.approx(point.r0, abs=1e-10)
 
     @pytest.mark.parametrize("nu", [0.7, 0.9])
     def test_concavity_second_difference(self, nu):
@@ -169,60 +169,68 @@ class TestDualObjective:
 
 
 class TestDualMaximizer:
+    """nu_star, the maximizer of dual_objective that common_rate returns."""
+
     def test_upper_boundary(self):
-        assert dual_maximizer(0.5, 1.0, 0.0) == pytest.approx(
+        assert common_rate(1.0, 0.5, 1.0, 0.0).nu_star == pytest.approx(
             1.0 / 1.5, abs=1e-12)
 
     def test_lower_boundary(self):
-        assert dual_maximizer(0.5, 0.5, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert common_rate(1.0, 0.5, 0.5, 0.0).nu_star == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_interior_value_and_stationarity(self):
-        nu = dual_maximizer(0.5, 0.75, 0.0)
+        nu = common_rate(1.0, 0.5, 0.75, 0.0).nu_star
         assert nu == pytest.approx(0.75, abs=1e-12)
         h = 1e-6
         derivative = (dual_objective(0.5, 0.75, 0.0, nu + h)
                       - dual_objective(0.5, 0.75, 0.0, nu - h)) / (2.0 * h)
         assert abs(derivative) <= 1e-8
 
-    def test_large_alpha_is_rejected_not_overflowed(self):
-        with pytest.raises(ParameterError):
-            dual_maximizer(0.5, 0.1, 800.0)
+    def test_large_alpha_gives_none_not_overflow(self):
+        assert common_rate(1.0, 0.5, 0.1, 800.0).nu_star is None
         # e^alpha overflows alone, but the product lies in the blend range
         alpha = math.log(0.8) - math.log(1e-309)
-        assert dual_maximizer(0.5, 1e-309, alpha) == pytest.approx(
+        assert common_rate(1.0, 0.5, 1e-309, alpha).nu_star == pytest.approx(
             0.8 / 1.1, rel=1e-12)
 
     def test_variance_keeps_an_underflowing_ratio(self):
         # delta / sigma2 = 1e-400 underflows, but d = 1e-400 * e^900 is in
         # the blend range
         rho = 0.9999999999
-        nu = dual_maximizer(rho, 1e-200, 900.0, sigma2=1e200)
+        nu = common_rate(1e200, rho, 1e-200, 900.0).nu_star
         d = math.exp(900.0 - 400.0 * math.log(10.0))
         assert nu == pytest.approx(d / (2.0 * d - (1.0 - rho)), rel=1e-12)
 
-    def test_rejects_outside_blend_regime(self):
-        with pytest.raises(ParameterError):
-            dual_maximizer(0.5, 0.3, 0.0)
-        with pytest.raises(ParameterError):
-            dual_maximizer(0.5, 1.5, 0.0)
+    def test_none_outside_blend_regime(self):
+        assert common_rate(1.0, 0.5, 0.3, 0.0).nu_star is None
+        assert common_rate(1.0, 0.5, 1.5, 0.0).nu_star is None
 
-    def test_saturated_point_near_unit_correlation_is_rejected(self):
+    def test_saturated_point_near_unit_correlation_has_none(self):
         # d = 1e-13 lies far below 1 - rho = 2**-40, where the blended
         # denominator 2d - (1 - rho) is negative
-        rho = 1.0 - 2.0 ** -40
-        assert common_rate(1.0, rho, 1e-13, 0.0).regime is Regime.SATURATED_NU
-        with pytest.raises(ParameterError):
-            dual_maximizer(rho, 1e-13, 0.0)
+        point = common_rate(1.0, 1.0 - 2.0 ** -40, 1e-13, 0.0)
+        assert point.regime is Regime.SATURATED_NU
+        assert point.nu_star is None
+
+    @pytest.mark.parametrize("rho, delta, alpha", [
+        (0.5, 0.75, 0.0), (0.3, 0.9, 0.0), (0.9, 0.5, 0.2), (0.7, 0.4, 0.0)])
+    def test_matches_golden_section_maximizer(self, rho, delta, alpha):
+        point = common_rate(1.0, rho, delta, alpha)
+        assert point.regime is Regime.BLEND
+        report = oracle.verify_graywyner_dual(rho, delta, alpha)
+        assert report.details["nu_hat"] == pytest.approx(point.nu_star,
+                                                         abs=1e-6)
 
     @settings(max_examples=300, deadline=None)
     @given(rho=st.floats(-1.0, 1.0),
            sigma2=st.floats(1e-300, 1e300),
            alpha=st.floats(0.0, 1500.0),
-           t=st.floats(0.0, 1.0))
+           t=st.floats(-0.5, 1.5))
     def test_blend_points_have_a_maximizer_in_range(self, rho, sigma2, alpha,
                                                     t):
-        # aim d = delta / sigma2 * e^alpha at [1 - |rho|, 1]; rounding may
-        # land a draw outside BLEND, which the property does not cover
+        # aim d = delta / sigma2 * e^alpha at [1 - |rho|, 1] and a margin on
+        # both sides, so every regime is drawn
         r = abs(rho)
         d = (1.0 - r) + t * r
         assume(d > 0.0)
@@ -231,7 +239,8 @@ class TestDualMaximizer:
         delta = math.exp(log_delta)
         assume(delta > 0.0)
         point = common_rate(sigma2, rho, delta, alpha)
-        assume(point.regime is Regime.BLEND)
-        nu = dual_maximizer(rho, delta, alpha, sigma2=sigma2)
-        assert math.isfinite(nu)
-        assert 1.0 / (1.0 + r) <= nu <= 1.0
+        if point.regime is not Regime.BLEND:
+            assert point.nu_star is None
+            return
+        assert math.isfinite(point.nu_star)
+        assert 1.0 / (1.0 + r) <= point.nu_star <= 1.0

@@ -294,6 +294,17 @@ class TestDual:
         assert scalar.dual_objective(rho, 0.0, 1e9) == pytest.approx(
             scalar.common_information(rho), abs=1e-8)
 
+    @pytest.mark.parametrize("rho", [1e-300, 0.05, 0.5, 0.95])
+    def test_huge_mu_is_not_nan(self, rho):
+        # mu * mu overflows past about 1.3e154
+        for mu in (1e200, 1e301):
+            assert scalar.dual_objective(rho, 0.0, mu) == pytest.approx(
+                scalar.common_information(rho), abs=1e-12)
+            for gamma in (1e-300, 0.1, 5.0):
+                value = scalar.dual_objective(rho, gamma, mu)
+                assert math.isfinite(value) or value == -math.inf
+                assert value <= scalar.wyner_ci_scalar(rho, gamma) + 1e-12
+
     def test_positive_budget_limit_at_infinite_mu(self):
         assert scalar.dual_objective(0.5, 0.1, math.inf) == -math.inf
         assert scalar.dual_objective(0.5, 1e-300, math.inf) == -math.inf

@@ -40,6 +40,18 @@ class TestJointGaussianCov:
         with pytest.raises(ParameterError):
             JointGaussianCov.from_joint(joint, 3)
 
+    @pytest.mark.parametrize("dim_x", [1.9, True, False, "1", None,
+                                       math.nan, np.True_])
+    def test_from_joint_rejects_a_split_that_is_not_whole(self, dim_x):
+        with pytest.raises(ParameterError, match="whole number"):
+            JointGaussianCov.from_joint(np.eye(3), dim_x)
+
+    @pytest.mark.parametrize("dim_x", [2, np.int64(2), np.uint8(2), 2.0,
+                                       np.float64(2.0)])
+    def test_from_joint_accepts_whole_splits(self, dim_x):
+        cov = JointGaussianCov.from_joint(np.eye(3), dim_x)
+        assert (cov.dim_x, cov.dim_y) == (2, 1)
+
     def test_rejects_non_numeric(self):
         with pytest.raises(ParameterError):
             JointGaussianCov([["a"]], [[0.0]], [[1.0]])
