@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .allocation import (
     Allocation,
+    CanonicalSpectrum,
     evaluate_allocation,
     saturation_breakpoints,
     waterfill,
@@ -30,7 +31,6 @@ from .scalar import (
 # resolved from the vector module on first access (PEP 562), so importing
 # the package, or running a scalar command, does not load numpy.
 _VECTOR_NAMES = frozenset({
-    "CanonicalSpectrum",
     "JointGaussianCov",
     "VectorCI",
     "canonical_correlations",

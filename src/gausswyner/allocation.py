@@ -11,6 +11,9 @@ are active. :func:`waterfill` solves it that way;
 :func:`evaluate_allocation` prices an arbitrary split for comparison, and
 :func:`saturation_breakpoints` lists the budgets at which components drop
 out.
+
+Each function checks its spectrum once, in :func:`as_rhos`, and then calls
+the unchecked scalar kernels.
 """
 
 from __future__ import annotations
@@ -22,15 +25,17 @@ from typing import Sequence
 from .errors import ParameterError
 from .scalar import (
     RHO_CLAMP_BAND,
-    common_information,
+    _as_float,
+    _common_information,
+    _mutual_information,
     level_from_budget,
-    mutual_information,
     validate_budget,
     wyner_ci_scalar,
 )
 
 __all__ = [
     "Allocation",
+    "CanonicalSpectrum",
     "as_rhos",
     "evaluate_allocation",
     "saturation_breakpoints",
@@ -61,13 +66,31 @@ class Allocation:
     slack: float = 0.0
 
 
+@dataclass(frozen=True)
+class CanonicalSpectrum:
+    """Descending canonical correlations in [0, 1], checked when built."""
+
+    rhos: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rhos", as_rhos(self.rhos))
+
+    def __len__(self) -> int:
+        return len(self.rhos)
+
+    def __iter__(self):
+        return iter(self.rhos)
+
+
 def as_rhos(spectrum) -> tuple[float, ...]:
     """Coerce a CanonicalSpectrum or plain sequence into a validated,
     descending tuple of correlations in [0, 1]."""
+    if isinstance(spectrum, CanonicalSpectrum):
+        return spectrum.rhos  # validated when it was built
     raw = getattr(spectrum, "rhos", spectrum)
     rhos = []
     for value in raw:
-        v = float(value)
+        v = _as_float(value, "canonical correlation")
         if math.isnan(v) or v < -RHO_CLAMP_BAND or v > 1.0 + RHO_CLAMP_BAND:
             raise ParameterError(
                 f"canonical correlation {value!r} lies outside [0, 1]")
@@ -98,8 +121,8 @@ def waterfill(spectrum, gamma: float) -> Allocation:
         raise ParameterError("waterfill requires a finite budget")
     if not rhos:
         return Allocation((), 0.0, 0.0, (), gamma)
-    caps = tuple(mutual_information(r) for r in rhos)
-    values = tuple(common_information(r) for r in rhos)
+    caps = tuple(_mutual_information(r) for r in rhos)
+    values = tuple(_common_information(r) for r in rhos)
     total_cap = sum(caps)
     if gamma >= total_cap:
         return Allocation(
@@ -135,7 +158,7 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     k-th component transitions from active to saturated. Strictly increasing
     when the correlations are distinct; equal correlations saturate together.
     """
-    caps = [mutual_information(r) for r in as_rhos(spectrum)]
+    caps = [_mutual_information(r) for r in as_rhos(spectrum)]
     return tuple(k * cap + tail for k, cap, tail in _weakest_first(caps))
 
 
@@ -149,5 +172,4 @@ def evaluate_allocation(spectrum, gammas: Sequence[float]) -> float:
     if len(gammas) != len(rhos):
         raise ParameterError(
             f"got {len(gammas)} budgets for {len(rhos)} components")
-    return sum(wyner_ci_scalar(r, validate_budget(g))
-               for r, g in zip(rhos, gammas))
+    return sum(wyner_ci_scalar(r, g) for r, g in zip(rhos, gammas))

@@ -102,9 +102,7 @@ def _cmd_vector(args) -> int:
             payload = json.load(handle)
         except (ValueError, RecursionError) as exc:
             raise ParameterError(f"invalid JSON: {exc}") from None
-    cov = _cov_from_payload(payload)
-    gamma = scalar.validate_budget(args.gamma)
-    result = vector.wyner_ci_vector(cov, gamma)
+    result = vector.wyner_ci_vector(_cov_from_payload(payload), args.gamma)
     suffix, div = _units(args)
     alloc = result.allocation
     record = _base_record("vector", {"input": args.input, "gamma": args.gamma})

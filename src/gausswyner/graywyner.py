@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .scalar import validate_correlation
+from .scalar import _as_float, validate_correlation
 
 __all__ = [
     "GrayWynerPoint",
@@ -54,7 +54,7 @@ class GrayWynerPoint:
 
 
 def _check_positive(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if math.isnan(value) or math.isinf(value) or value <= 0.0:
         raise ParameterError(f"{name} must be a positive finite number, "
                              f"got {value!r}")
@@ -62,7 +62,7 @@ def _check_positive(value: float, name: str) -> float:
 
 
 def _check_nonneg(value: float, name: str) -> float:
-    value = float(value)
+    value = _as_float(value, name)
     if math.isnan(value) or value < 0.0:
         raise ParameterError(f"{name} must be >= 0, got {value!r}")
     return value
@@ -133,7 +133,7 @@ def dual_objective(rho: float, delta: float, alpha_private: float,
         raise ParameterError("dual bound requires |rho| < 1")
     delta = _check_positive(delta, "delta")
     alpha_private = _check_nonneg(alpha_private, "alpha_private")
-    nu = float(nu)
+    nu = _as_float(nu, "nu")
     if math.isnan(nu) or not 0.5 < nu <= 1.0:
         raise ParameterError(f"nu must lie in (1/2, 1], got {nu!r}")
     two_nu_m1 = 2.0 * nu - 1.0

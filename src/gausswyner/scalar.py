@@ -44,10 +44,21 @@ RHO_CLAMP_BAND = 1e-9
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)``, with an int too large for a float rejected as a
+    :class:`ParameterError`. The message names the argument but not the
+    value: an int of more than 4300 digits cannot be formatted."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(
+            f"{name} is too large in magnitude for a float") from None
+
+
 def validate_correlation(rho: float) -> float:
     """Return ``rho`` clamped into [-1, 1], rejecting values beyond the
     clamp band or NaN."""
-    rho = float(rho)
+    rho = _as_float(rho, "correlation")
     if math.isnan(rho):
         raise ParameterError("correlation must not be NaN")
     if abs(rho) > 1.0 + RHO_CLAMP_BAND:
@@ -57,10 +68,29 @@ def validate_correlation(rho: float) -> float:
 
 def validate_budget(gamma: float) -> float:
     """Check that a conditional-information budget is nonnegative."""
-    gamma = float(gamma)
+    gamma = _as_float(gamma, "budget")
     if math.isnan(gamma) or gamma < 0.0:
         raise ParameterError(f"budget {gamma!r} must be >= 0 nats")
     return gamma
+
+
+def _common_information(r: float) -> float:
+    """:func:`common_information` at r = |rho| in [0, 1], unchecked: the
+    caller has validated r."""
+    if r == 1.0:
+        return math.inf
+    # 0.0 + x: at r = -0.0, which as_rhos passes through, the result is
+    # +0.0 as at r = 0.0
+    return 0.0 + 0.5 * (math.log1p(r) - math.log1p(-r))
+
+
+def _mutual_information(r: float) -> float:
+    """:func:`mutual_information` at r = |rho| in [0, 1], unchecked."""
+    if r == 1.0:
+        return math.inf
+    # 0.0 - x rather than -x: at rho = 0 (and wherever the logs cancel) the
+    # result is +0.0, not -0.0
+    return 0.0 - 0.5 * (math.log1p(r) + math.log1p(-r))
 
 
 def common_information(rho: float) -> float:
@@ -68,20 +98,12 @@ def common_information(rho: float) -> float:
 
     Even in |rho| and strictly increasing; returns ``inf`` at |rho| = 1.
     """
-    r = abs(validate_correlation(rho))
-    if r == 1.0:
-        return math.inf
-    return 0.5 * (math.log1p(r) - math.log1p(-r))
+    return _common_information(abs(validate_correlation(rho)))
 
 
 def mutual_information(rho: float) -> float:
     """Mutual information of the same pair; ``inf`` at |rho| = 1."""
-    r = abs(validate_correlation(rho))
-    if r == 1.0:
-        return math.inf
-    # 0.0 - x rather than -x: at rho = 0 (and wherever the logs cancel) the
-    # result is +0.0, not -0.0
-    return 0.0 - 0.5 * (math.log1p(r) + math.log1p(-r))
+    return _mutual_information(abs(validate_correlation(rho)))
 
 
 def level_from_budget(x: float) -> float:
@@ -106,7 +128,7 @@ def budget_from_level(beta: float) -> float:
     Strictly convex and increasing with value 0 at 0; equals
     log(cosh(beta)), the inverse of :func:`level_from_budget`.
     """
-    beta = float(beta)
+    beta = _as_float(beta, "water level")
     if math.isnan(beta) or beta < 0.0:
         raise ParameterError(f"water level {beta!r} must be >= 0 nats")
     if math.isinf(beta):
@@ -130,7 +152,7 @@ def wyner_ci_scalar(rho: float, gamma: float) -> float:
     """
     r = abs(validate_correlation(rho))
     gamma = validate_budget(gamma)
-    value = common_information(r)
+    value = _common_information(r)
     if math.isinf(value):
         return 0.0 if math.isinf(gamma) else math.inf
     return max(value - level_from_budget(gamma), 0.0)
@@ -170,7 +192,7 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
     if not 0.0 <= rho < 1.0:
         raise ParameterError(
             f"construction requires 0 <= rho < 1, got {rho!r}")
-    cap = mutual_information(rho)
+    cap = _mutual_information(rho)
     if gamma > cap + 1e-12:
         raise ParameterError(
             f"budget {gamma!r} exceeds the pair's mutual information {cap!r}")
@@ -194,11 +216,11 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
     gamma = validate_budget(gamma)
     if not 0.0 < r < 1.0:
         raise ParameterError(f"dual bound requires 0 < |rho| < 1, got {rho!r}")
-    mu = float(mu)
+    mu = _as_float(mu, "dual variable")
     if math.isnan(mu) or mu <= 1.0:
         raise ParameterError(f"dual variable {mu!r} must be > 1")
     if math.isinf(mu):
-        return common_information(r) if gamma == 0.0 else -math.inf
+        return _common_information(r) if gamma == 0.0 else -math.inf
     joint_entropy = _LOG_2PIE + 0.5 * math.log1p(-r * r)
     envelope = _LOG_2PIE + 0.5 * math.log(
         (1.0 - r) ** 2 * (mu + 1.0) / (mu - 1.0))

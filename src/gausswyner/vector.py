@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import Allocation, as_rhos, waterfill
+from .allocation import Allocation, CanonicalSpectrum, waterfill
 from .errors import CovarianceError, ParameterError
 from .scalar import validate_budget
 
@@ -67,7 +67,7 @@ class JointGaussianCov:
         for name in ("k_x", "k_xy", "k_y"):
             try:
                 arr = np.array(getattr(self, name), dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"{name} is not a numeric matrix: {exc}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -100,7 +100,7 @@ class JointGaussianCov:
         """
         try:
             joint = np.array(joint, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"joint covariance is not numeric: {exc}")
         if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
             raise ParameterError(
@@ -112,25 +112,23 @@ class JointGaussianCov:
         d = int(dim_x)
         n = joint.shape[0]
         if not 0 < d < n:
+            try:
+                got = str(d)
+            except ValueError:  # past Python's int-to-str digit limit
+                got = "an int too long to print"
             raise ParameterError(
-                f"dim_x must lie strictly between 0 and {n}, got {d}")
+                f"dim_x must lie strictly between 0 and {n}, got {got}")
         return cls(joint[:d, :d], joint[:d, d:], joint[d:, d:])
-
-    def stacked(self) -> np.ndarray:
-        """The full (dx+dy) x (dx+dy) covariance matrix."""
-        top = np.hstack([self.k_x, self.k_xy])
-        bottom = np.hstack([self.k_xy.T, self.k_y])
-        return np.vstack([top, bottom])
 
 
 class _Eigen(NamedTuple):
     """One validated diagonal block in its eigenbasis.
 
     The block is decomposed after division by ``root**2``, a power of two,
-    so ``whiten`` is in those scaled units.
+    so ``sym`` and ``whiten`` are in those scaled units.
     """
 
-    sym: np.ndarray      # exactly symmetric copy, in the input's units
+    sym: np.ndarray      # exactly symmetric copy, divided by root**2
     vectors: np.ndarray  # eigenvectors, eigenvalues ascending
     whiten: np.ndarray   # 1/sqrt(eigenvalue); dropped ones use the floor
     dropped: int         # leading eigenvalues at most RANK_RTOL * max
@@ -169,13 +167,12 @@ def _eigen(name: str, block: np.ndarray) -> _Eigen:
     # an all-zero block has hi = 0; its floor stays positive so the weights
     # are finite, and any cross-covariance above ~1e-154 is rejected
     values[:dropped] = max(PSD_RTOL * hi, sys.float_info.min)
-    return _Eigen(sym * root * root, vectors, 1.0 / np.sqrt(values),
-                  dropped, root)
+    return _Eigen(sym, vectors, 1.0 / np.sqrt(values), dropped, root)
 
 
-def _canonical(cov: JointGaussianCov) -> tuple[JointGaussianCov, np.ndarray]:
-    """Validate ``cov`` and return its symmetrized copy with the descending
-    singular values of the whitened cross-covariance.
+def _canonical(cov: JointGaussianCov) -> tuple[_Eigen, _Eigen, np.ndarray]:
+    """Validate ``cov`` and return its two decomposed blocks with the
+    descending singular values of the whitened cross-covariance.
 
     C = U_x^T K_xy U_y in the two eigenbases, whitened on both sides. The
     kept rows and columns give the canonical correlations. 1 - ||W|| is the
@@ -206,7 +203,7 @@ def _canonical(cov: JointGaussianCov) -> tuple[JointGaussianCov, np.ndarray]:
         raise CovarianceError(
             "stacked covariance is not positive semi-definite: min "
             f"eigenvalue {1.0 - worst:.6e} after whitening each block")
-    return JointGaussianCov(x.sym, cov.k_xy, y.sym), svals
+    return x, y, svals
 
 
 def validate_cov(cov: JointGaussianCov) -> JointGaussianCov:
@@ -219,7 +216,9 @@ def validate_cov(cov: JointGaussianCov) -> JointGaussianCov:
     :class:`CovarianceError` naming the violated invariant, quoting the
     offending eigenvalue for PSD failures.
     """
-    return _canonical(cov)[0]
+    x, y, _ = _canonical(cov)
+    return JointGaussianCov(x.sym * x.root * x.root, cov.k_xy,
+                            y.sym * y.root * y.root)
 
 
 def pinv_sqrt(m) -> np.ndarray:
@@ -232,7 +231,7 @@ def pinv_sqrt(m) -> np.ndarray:
     """
     try:
         m = np.array(m, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"matrix is not numeric: {exc}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ParameterError(
@@ -241,22 +240,6 @@ def pinv_sqrt(m) -> np.ndarray:
     inv_roots = block.whiten / block.root
     inv_roots[:block.dropped] = 0.0
     return (block.vectors * inv_roots) @ block.vectors.T
-
-
-@dataclass(frozen=True)
-class CanonicalSpectrum:
-    """Descending canonical correlations in [0, 1]."""
-
-    rhos: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rhos", as_rhos(self.rhos))
-
-    def __len__(self) -> int:
-        return len(self.rhos)
-
-    def __iter__(self):
-        return iter(self.rhos)
 
 
 def canonical_correlations(cov: JointGaussianCov) -> CanonicalSpectrum:
@@ -275,7 +258,7 @@ def canonical_correlations(cov: JointGaussianCov) -> CanonicalSpectrum:
     length behave as if the shorter vector were extended with independent
     components.
     """
-    cov, svals = _canonical(cov)
+    svals = _canonical(cov)[2]
     rhos = np.minimum(svals, 1.0).tolist()
     rhos.extend([0.0] * (max(cov.dim_x, cov.dim_y) - len(rhos)))
     return CanonicalSpectrum(tuple(rhos))

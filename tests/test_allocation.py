@@ -80,6 +80,11 @@ class TestWaterfill:
         assert alloc.gammas == (0.0, 0.0)
         assert alloc.slack == pytest.approx(0.7)
 
+    def test_negative_zero_gives_positive_zero_level(self):
+        # -0.0 passes as_rhos unchanged; the level must still read +0.0
+        alloc = waterfill([-0.0], 0.7)
+        assert math.copysign(1.0, alloc.water_level_beta) == 1.0
+
     def test_empty_spectrum(self):
         alloc = waterfill([], 0.4)
         assert alloc.total_value == 0.0
@@ -88,10 +93,17 @@ class TestWaterfill:
     def test_rejects_unsorted_spectrum(self):
         with pytest.raises(ParameterError):
             waterfill([0.2, 0.9], 0.1)
+        # an int too large for a float
+        with pytest.raises(ParameterError):
+            waterfill([10**400], 0.1)
+        with pytest.raises(ParameterError):
+            saturation_breakpoints([10**400])
 
     def test_rejects_infinite_budget(self):
         with pytest.raises(ParameterError):
             waterfill([0.5], math.inf)
+        with pytest.raises(ParameterError):
+            waterfill([0.5], 10**400)
 
     def test_bracket_identities(self):
         # level and budget are conjugate: budget_from_level maps a
@@ -192,6 +204,23 @@ class TestEvaluateAllocation:
     def test_rejects_negative_budget(self):
         with pytest.raises(ParameterError):
             evaluate_allocation([0.9], [-0.1])
+        with pytest.raises(ParameterError):
+            evaluate_allocation([0.9], [10**400])
+
+
+class TestCanonicalSpectrum:
+    def test_as_rhos_returns_a_checked_spectrum_as_is(self):
+        spectrum = allocation.CanonicalSpectrum((0.9, 0.5))
+        assert allocation.as_rhos(spectrum) is spectrum.rhos
+
+    def test_waterfill_sees_the_clamped_rhos(self):
+        spectrum = allocation.CanonicalSpectrum([1.0 + 5e-10, 0.5, -5e-10])
+        assert spectrum.rhos == (1.0, 0.5, 0.0)
+        assert waterfill(spectrum, 0.2) == waterfill([1.0, 0.5, 0.0], 0.2)
+
+    def test_vector_reexports_the_same_type(self):
+        from gausswyner import vector
+        assert vector.CanonicalSpectrum is allocation.CanonicalSpectrum
 
 
 class TestBreakpoints:

@@ -182,6 +182,21 @@ class TestVectorCommand:
         assert err.startswith("error: invalid JSON: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload", [
+        {"kx": [[10**400]], "ky": [[1.0]], "kxy": [[0.0]]},
+        {"joint": [[1.0, 0.0], [0.0, -10**400]], "dim_x": 1},
+    ], ids=["blocks", "joint"])
+    def test_int_too_large_for_a_float_exits_2(self, tmp_path, capsys,
+                                                payload):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "vector", "--input", str(path),
+                                 "--gamma", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.endswith("int too large to convert to float\n")
+
     @pytest.mark.parametrize("dim_x", [1.9, True, "1", None])
     def test_split_that_is_not_whole_exits_2(self, tmp_path, capsys, dim_x):
         path = tmp_path / "cov.json"
@@ -375,9 +390,15 @@ def _flag(name, value):
     return f"--{name}={value!r}"
 
 
+# ints that JSON carries but a float cannot hold: 310 to 4300 digits, the
+# most json.load reads
+HUGE_INTS = st.builds(lambda sign, k: sign * 10**k, st.sampled_from([1, -1]),
+                      st.integers(309, 4299))
+
+
 @st.composite
-def _matrices(draw, rows, cols):
-    return [[draw(EDGE_FLOATS) for _ in range(cols)] for _ in range(rows)]
+def _matrices(draw, rows, cols, entries=EDGE_FLOATS):
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
 
 
 @st.composite
@@ -393,14 +414,18 @@ def _joint_covariances(draw):
 @st.composite
 def _vector_payloads(draw):
     dims = st.integers(0, 3)
+    # the product form multiplies its entries in Python, so it draws no
+    # huge ints
+    entries = EDGE_FLOATS | HUGE_INTS
     form = draw(st.sampled_from(["blocks", "joint", "product"]))
     if form == "blocks":
         dx, dy, rows, cols = (draw(dims) for _ in range(4))
-        return {"kx": draw(_matrices(dx, dx)), "ky": draw(_matrices(dy, dy)),
-                "kxy": draw(_matrices(rows, cols))}
+        return {"kx": draw(_matrices(dx, dx, entries)),
+                "ky": draw(_matrices(dy, dy, entries)),
+                "kxy": draw(_matrices(rows, cols, entries))}
     if form == "joint":
         n = draw(dims)
-        joint = draw(_matrices(n, n))
+        joint = draw(_matrices(n, n, entries))
     else:
         joint = draw(_joint_covariances())
         n = len(joint)
@@ -491,6 +516,17 @@ class TestLazyNumpy:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, gausswyner, gausswyner.cli; "
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_canonical_spectrum_does_not_load_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gausswyner; "
+             "spectrum = gausswyner.CanonicalSpectrum((0.9, 0.5)); "
+             "gausswyner.waterfill(spectrum, 0.1); "
              "print('numpy' in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

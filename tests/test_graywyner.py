@@ -114,6 +114,11 @@ class TestCommonRate:
             common_rate(0.0, 0.5, 0.1, 0.1)
         with pytest.raises(ParameterError):
             common_rate(1.0, 0.5, 0.1, -0.2)
+        # an int too large for a float, in each argument
+        for args in [(10**400, 0.5, 0.1, 0.1), (1.0, 10**400, 0.1, 0.1),
+                     (1.0, 0.5, 10**400, 0.1), (1.0, 0.5, 0.1, 10**400)]:
+            with pytest.raises(ParameterError):
+                common_rate(*args)
 
 
 class TestDualObjective:
@@ -166,6 +171,8 @@ class TestDualObjective:
             dual_objective(0.5, 0.3, 0.0, 0.5)
         with pytest.raises(ParameterError):
             dual_objective(0.5, 0.3, 0.0, 1.1)
+        with pytest.raises(ParameterError):
+            dual_objective(0.5, 0.3, 0.0, 10**400)
 
 
 class TestDualMaximizer:

@@ -57,6 +57,8 @@ class TestCommonInformation:
             scalar.common_information(1.1)
         with pytest.raises(ParameterError):
             scalar.common_information(float("nan"))
+        with pytest.raises(ParameterError):
+            scalar.common_information(10**400)
 
 
 class TestMutualInformation:
@@ -74,6 +76,33 @@ class TestMutualInformation:
 
     def test_degenerate_is_infinite(self):
         assert scalar.mutual_information(1.0) == math.inf
+
+
+class TestKernels:
+    """The unchecked kernels that allocation calls on a checked spectrum."""
+
+    @given(r=st.floats(0.0, 1.0)
+           | st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310,
+                              2.2250738585072014e-308, 1e-170,
+                              1.0 - 2.0 ** -53]))
+    def test_equal_public_functions_bit_for_bit(self, r):
+        # -0.0 is in the set: as_rhos passes it through as it is
+        assert scalar._common_information(r).hex() == \
+            scalar.common_information(r).hex()
+        assert scalar._mutual_information(r).hex() == \
+            scalar.mutual_information(r).hex()
+
+
+class TestValidators:
+    @pytest.mark.parametrize("check", [
+        scalar.validate_correlation, scalar.validate_budget,
+        scalar.level_from_budget, scalar.budget_from_level])
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000],
+                             ids=["1e400", "-1e400", "1e5000"])
+    def test_int_too_large_for_a_float_is_a_parameter_error(self, check,
+                                                            value):
+        with pytest.raises(ParameterError, match="too large in magnitude"):
+            check(value)
 
 
 class TestTransferCurves:
@@ -160,6 +189,11 @@ class TestWynerCiScalar:
             scalar.wyner_ci_scalar(1.2, 0.1)
         with pytest.raises(ParameterError):
             scalar.wyner_ci_scalar(0.5, -0.1)
+        # an int too large for a float
+        with pytest.raises(ParameterError):
+            scalar.wyner_ci_scalar(10**400, 0.1)
+        with pytest.raises(ParameterError):
+            scalar.wyner_ci_scalar(0.5, 10**400)
 
     @given(rho=rhos_open, gamma=budgets)
     def test_negative_correlation_symmetry(self, rho, gamma):
@@ -268,6 +302,9 @@ class TestDual:
             scalar.dual_objective(0.5, 0.1, 1.0)
         with pytest.raises(ParameterError):
             scalar.dual_objective(0.5, 0.1, 0.5)
+        # an int too large for a float
+        with pytest.raises(ParameterError):
+            scalar.dual_objective(0.5, 0.1, 10**400)
 
     def test_maximizer_stationarity(self):
         mu = scalar.dual_maximizer(0.1)

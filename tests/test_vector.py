@@ -31,7 +31,10 @@ class TestJointGaussianCov:
                           [0.1, 0.2, 1.5]])
         cov = JointGaussianCov.from_joint(joint, 2)
         assert cov.dim_x == 2 and cov.dim_y == 1
-        np.testing.assert_array_equal(cov.stacked(), joint)
+        np.testing.assert_array_equal(cov.k_x, joint[:2, :2])
+        np.testing.assert_array_equal(cov.k_xy, joint[:2, 2:])
+        np.testing.assert_array_equal(cov.k_y, joint[2:, 2:])
+        np.testing.assert_array_equal(cov.k_xy.T, joint[2:, :2])
 
     def test_from_joint_rejects_bad_split(self):
         joint = np.eye(3)
@@ -39,6 +42,13 @@ class TestJointGaussianCov:
             JointGaussianCov.from_joint(joint, 0)
         with pytest.raises(ParameterError):
             JointGaussianCov.from_joint(joint, 3)
+        with pytest.raises(ParameterError) as exc:
+            JointGaussianCov.from_joint(joint, 5)
+        assert str(exc.value) == \
+            "dim_x must lie strictly between 0 and 3, got 5"
+        # more digits than str() of an int may print
+        with pytest.raises(ParameterError, match="too long to print"):
+            JointGaussianCov.from_joint(joint, 10**5000)
 
     @pytest.mark.parametrize("dim_x", [1.9, True, False, "1", None,
                                        math.nan, np.True_])
@@ -55,6 +65,13 @@ class TestJointGaussianCov:
     def test_rejects_non_numeric(self):
         with pytest.raises(ParameterError):
             JointGaussianCov([["a"]], [[0.0]], [[1.0]])
+        # an int too large for a float
+        with pytest.raises(ParameterError):
+            JointGaussianCov([[10**400]], [[0.0]], [[1.0]])
+        with pytest.raises(ParameterError):
+            JointGaussianCov.from_joint([[1.0, 0.0], [0.0, -10**400]], 1)
+        with pytest.raises(ParameterError):
+            vector.pinv_sqrt([[10**400]])
 
     @pytest.mark.parametrize("dx, dy", [(0, 0), (2, 0), (0, 1)])
     def test_rejects_empty_blocks(self, dx, dy):
