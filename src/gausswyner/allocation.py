@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, ge, mul, sub
 from typing import Sequence
 
 from .errors import ParameterError
@@ -28,9 +31,9 @@ from .scalar import (
     _as_float,
     _common_information,
     _mutual_information,
+    _wyner_ci,
     level_from_budget,
     validate_budget,
-    wyner_ci_scalar,
 )
 
 __all__ = [
@@ -84,17 +87,40 @@ class CanonicalSpectrum:
 
 def as_rhos(spectrum) -> tuple[float, ...]:
     """Coerce a CanonicalSpectrum or plain sequence into a validated,
-    descending tuple of correlations in [0, 1]."""
+    descending tuple of correlations in [0, 1]; -0.0 reads as +0.0."""
     if isinstance(spectrum, CanonicalSpectrum):
         return spectrum.rhos  # validated when it was built
-    raw = getattr(spectrum, "rhos", spectrum)
+    # a tuple, so that the walk can iterate it again
+    raw = tuple(getattr(spectrum, "rhos", spectrum))
+    try:
+        rhos = list(map(float, raw))
+    except (TypeError, ValueError, OverflowError):
+        return _checked_rhos(raw)
+    if not rhos:
+        return ()
+    # Whole-sequence tests: a NaN-free, exactly descending spectrum inside
+    # [0, 1] needs no clamp. Anything else (a clamp, a near-tie out of
+    # order, an error) takes the element-by-element walk.
+    if (math.isnan(sum(rhos)) or rhos != sorted(rhos, reverse=True)
+            or rhos[-1] < 0.0 or rhos[0] > 1.0):
+        return _checked_rhos(raw)
+    if rhos[-1] == 0.0:  # the zeros are last; some may be -0.0
+        return tuple(map(abs, rhos))
+    return tuple(rhos)
+
+
+def _checked_rhos(raw) -> tuple[float, ...]:
+    """:func:`as_rhos` one element at a time: clamps the values in the clamp
+    band and raises the first offending element's error."""
     rhos = []
     for value in raw:
         v = _as_float(value, "canonical correlation")
         if math.isnan(v) or v < -RHO_CLAMP_BAND or v > 1.0 + RHO_CLAMP_BAND:
             raise ParameterError(
                 f"canonical correlation {value!r} lies outside [0, 1]")
-        rhos.append(min(max(v, 0.0), 1.0))
+        # max(0.0, v), not max(v, 0.0): on the tie at v = -0.0, max
+        # returns its first argument
+        rhos.append(min(max(0.0, v), 1.0))
     for left, right in zip(rhos, rhos[1:]):
         if right > left + 1e-12:
             raise ParameterError("spectrum must be sorted in descending order")
@@ -121,33 +147,32 @@ def waterfill(spectrum, gamma: float) -> Allocation:
         raise ParameterError("waterfill requires a finite budget")
     if not rhos:
         return Allocation((), 0.0, 0.0, (), gamma)
-    caps = tuple(_mutual_information(r) for r in rhos)
-    values = tuple(_common_information(r) for r in rhos)
+    caps = tuple(map(_mutual_information, rhos))
     total_cap = sum(caps)
     if gamma >= total_cap:
-        return Allocation(
-            caps, values[0], 0.0, (True,) * len(rhos), gamma - total_cap)
-    for k, cap, tail in _weakest_first(caps):
+        return Allocation(caps, _common_information(rhos[0]), 0.0,
+                          (True,) * len(rhos), gamma - total_cap)
+    for k, cap, tail in zip(*_weakest_first(caps)):
         spend = (gamma - tail) / k
         if spend < cap:
             break
     beta = level_from_budget(spend)
-    gammas = tuple(min(spend, cap) for cap in caps)
-    saturated = tuple(spend >= cap for cap in caps)
-    total = 0.0
-    for value in values:
-        total += max(value - beta, 0.0)
+    gammas = tuple(map(min, repeat(spend), caps))
+    saturated = tuple(map(ge, repeat(spend), caps))
+    # Sum of max(C(rho_i) - beta, 0.0) as a left fold in component order.
+    # A component with C(rho_i) <= beta adds 0.0 to a nonnegative total,
+    # which changes no bit, so the fold skips it.
+    active = filter(beta.__lt__, map(_common_information, rhos))
+    total = reduce(add, map(sub, active, repeat(beta)), 0.0)
     return Allocation(gammas, beta, total, saturated, 0.0)
 
 
 def _weakest_first(caps):
-    """Yield (k, caps[k-1], tail) for k = n..1, where tail is the sum of the
-    caps after position k: the saturation order of a descending spectrum,
-    weakest component first."""
-    tail = 0.0
-    for k in range(len(caps), 0, -1):
-        yield k, caps[k - 1], tail
-        tail += caps[k - 1]
+    """The saturation order of a descending spectrum, weakest component
+    first: for k = n..1, the count k, caps[k-1], and the tail sum of the
+    caps after position k, added weakest first."""
+    weakest = caps[::-1]
+    return range(len(caps), 0, -1), weakest, accumulate(weakest, initial=0.0)
 
 
 def saturation_breakpoints(spectrum) -> tuple[float, ...]:
@@ -158,18 +183,19 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     k-th component transitions from active to saturated. Strictly increasing
     when the correlations are distinct; equal correlations saturate together.
     """
-    caps = [_mutual_information(r) for r in as_rhos(spectrum)]
-    return tuple(k * cap + tail for k, cap, tail in _weakest_first(caps))
+    counts, caps, tails = _weakest_first(
+        tuple(map(_mutual_information, as_rhos(spectrum))))
+    return tuple(map(add, map(mul, counts, caps), tails))
 
 
 def evaluate_allocation(spectrum, gammas: Sequence[float]) -> float:
     """Total value of an arbitrary split: sum of the scalar closed forms.
 
     Upper-bounds ``waterfill(...).total_value`` for any feasible split of
-    the same total budget.
+    the same total budget. Each budget is checked once.
     """
     rhos = as_rhos(spectrum)
     if len(gammas) != len(rhos):
         raise ParameterError(
             f"got {len(gammas)} budgets for {len(rhos)} components")
-    return sum(wyner_ci_scalar(r, g) for r, g in zip(rhos, gammas))
+    return sum(map(_wyner_ci, rhos, map(validate_budget, gammas)))

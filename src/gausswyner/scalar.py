@@ -45,14 +45,17 @@ _LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
 
 def _as_float(value, name: str) -> float:
-    """``float(value)``, with an int too large for a float rejected as a
-    :class:`ParameterError`. The message names the argument but not the
-    value: an int of more than 4300 digits cannot be formatted."""
+    """``float(value)``, with an int too large for a float, or a value that
+    is not a number, rejected as a :class:`ParameterError`. The message
+    names the argument but not the value: an int of more than 4300 digits
+    cannot be formatted."""
     try:
         return float(value)
     except OverflowError:
         raise ParameterError(
             f"{name} is too large in magnitude for a float") from None
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} is not a number") from None
 
 
 def validate_correlation(rho: float) -> float:
@@ -79,8 +82,8 @@ def _common_information(r: float) -> float:
     caller has validated r."""
     if r == 1.0:
         return math.inf
-    # 0.0 + x: at r = -0.0, which as_rhos passes through, the result is
-    # +0.0 as at r = 0.0
+    # 0.0 + x: at r = -0.0 the result is +0.0 as at r = 0.0 (as_rhos and
+    # the public wrappers already pass +0.0; this guards any other caller)
     return 0.0 + 0.5 * (math.log1p(r) - math.log1p(-r))
 
 
@@ -112,7 +115,11 @@ def level_from_budget(x: float) -> float:
     Strictly concave and increasing with value 0 at 0; the inverse of
     :func:`budget_from_level`.
     """
-    x = validate_budget(x)
+    return _level_from_budget(validate_budget(x))
+
+
+def _level_from_budget(x: float) -> float:
+    """:func:`level_from_budget` at a checked budget x >= 0, unchecked."""
     if math.isinf(x):
         return math.inf
     # With s = sqrt(1 - e^{-2x}), the level is (1/2)ln((1+s)/(1-s)). Rewrite
@@ -150,12 +157,16 @@ def wyner_ci_scalar(rho: float, gamma: float) -> float:
     gamma >= mutual_information(rho); ``inf`` when |rho| = 1 and gamma is
     finite.
     """
-    r = abs(validate_correlation(rho))
-    gamma = validate_budget(gamma)
+    return _wyner_ci(abs(validate_correlation(rho)), validate_budget(gamma))
+
+
+def _wyner_ci(r: float, gamma: float) -> float:
+    """:func:`wyner_ci_scalar` at r = |rho| in [0, 1] and a checked budget,
+    unchecked."""
     value = _common_information(r)
     if math.isinf(value):
         return 0.0 if math.isinf(gamma) else math.inf
-    return max(value - level_from_budget(gamma), 0.0)
+    return max(value - _level_from_budget(gamma), 0.0)
 
 
 @dataclass(frozen=True)

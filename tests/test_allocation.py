@@ -81,7 +81,7 @@ class TestWaterfill:
         assert alloc.slack == pytest.approx(0.7)
 
     def test_negative_zero_gives_positive_zero_level(self):
-        # -0.0 passes as_rhos unchanged; the level must still read +0.0
+        # as_rhos reads -0.0 as +0.0; the level must read +0.0
         alloc = waterfill([-0.0], 0.7)
         assert math.copysign(1.0, alloc.water_level_beta) == 1.0
 
@@ -98,6 +98,15 @@ class TestWaterfill:
             waterfill([10**400], 0.1)
         with pytest.raises(ParameterError):
             saturation_breakpoints([10**400])
+
+    def test_rejects_non_numeric_entries(self):
+        for spectrum in (["abc"], [None], [0.9, "abc"]):
+            with pytest.raises(ParameterError,
+                               match="^canonical correlation is not a number$"):
+                waterfill(spectrum, 0.1)
+        # the first offending entry decides the error, in order
+        with pytest.raises(ParameterError, match="lies outside"):
+            waterfill([2.0, None], 0.1)
 
     def test_rejects_infinite_budget(self):
         with pytest.raises(ParameterError):
@@ -207,6 +216,20 @@ class TestEvaluateAllocation:
         with pytest.raises(ParameterError):
             evaluate_allocation([0.9], [10**400])
 
+    def test_rejects_non_numeric_budget(self):
+        with pytest.raises(ParameterError, match="^budget is not a number$"):
+            evaluate_allocation([0.5], [None])
+
+    def test_does_not_recheck_the_correlations(self, monkeypatch):
+        rhos, gammas = (0.9, 0.5, 0.0), (0.1, 0.2, 0.0)
+        expected = evaluate_allocation(rhos, gammas)
+
+        def refuse(rho):
+            raise AssertionError("correlation checked again")
+
+        monkeypatch.setattr(scalar, "validate_correlation", refuse)
+        assert evaluate_allocation(rhos, gammas) == expected
+
 
 class TestCanonicalSpectrum:
     def test_as_rhos_returns_a_checked_spectrum_as_is(self):
@@ -217,6 +240,16 @@ class TestCanonicalSpectrum:
         spectrum = allocation.CanonicalSpectrum([1.0 + 5e-10, 0.5, -5e-10])
         assert spectrum.rhos == (1.0, 0.5, 0.0)
         assert waterfill(spectrum, 0.2) == waterfill([1.0, 0.5, 0.0], 0.2)
+
+    @pytest.mark.parametrize("rhos, expected", [
+        ((-0.0,), (0.0,)),
+        ((0.5, -0.0), (0.5, 0.0)),
+        ((0.5, -0.0, 1e-13), (0.5, 0.0, 1e-13)),  # near-sorted: the walk
+    ])
+    def test_negative_zero_reads_as_positive_zero(self, rhos, expected):
+        spectrum = allocation.CanonicalSpectrum(rhos)
+        assert spectrum.rhos == expected
+        assert all(math.copysign(1.0, r) == 1.0 for r in spectrum.rhos)
 
     def test_vector_reexports_the_same_type(self):
         from gausswyner import vector
@@ -260,3 +293,174 @@ class TestBreakpoints:
         third = np.abs(np.diff(totals, 3))
         spike = grid[int(np.argmax(third))]
         assert abs(spike - breakpoint_) <= 3.0 * step
+
+
+# ---------------------------------------------------------------------------
+# A plain per-element reference: the loops and formulas that the library's
+# whole-sequence passes replace. Results must agree by repr (so bit for bit,
+# signed zeros included) and errors by type and message.
+# ---------------------------------------------------------------------------
+
+def _ref_float(value, name):
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(
+            f"{name} is too large in magnitude for a float") from None
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} is not a number") from None
+
+
+def _ref_budget(gamma):
+    gamma = _ref_float(gamma, "budget")
+    if math.isnan(gamma) or gamma < 0.0:
+        raise ParameterError(f"budget {gamma!r} must be >= 0 nats")
+    return gamma
+
+
+def _ref_as_rhos(raw):
+    rhos = []
+    for value in raw:
+        v = _ref_float(value, "canonical correlation")
+        if (math.isnan(v) or v < -scalar.RHO_CLAMP_BAND
+                or v > 1.0 + scalar.RHO_CLAMP_BAND):
+            raise ParameterError(
+                f"canonical correlation {value!r} lies outside [0, 1]")
+        v = min(max(v, 0.0), 1.0)
+        rhos.append(0.0 if v == 0.0 else v)
+    for left, right in zip(rhos, rhos[1:]):
+        if right > left + 1e-12:
+            raise ParameterError("spectrum must be sorted in descending order")
+    return tuple(rhos)
+
+
+def _ref_waterfill(raw, gamma):
+    rhos = _ref_as_rhos(raw)
+    gamma = _ref_budget(gamma)
+    if math.isinf(gamma):
+        raise ParameterError("waterfill requires a finite budget")
+    if not rhos:
+        return allocation.Allocation((), 0.0, 0.0, (), gamma)
+    caps = tuple(scalar.mutual_information(r) for r in rhos)
+    values = tuple(scalar.common_information(r) for r in rhos)
+    total_cap = sum(caps)
+    if gamma >= total_cap:
+        return allocation.Allocation(
+            caps, values[0], 0.0, (True,) * len(rhos), gamma - total_cap)
+    tail = 0.0
+    for k in range(len(caps), 0, -1):
+        spend = (gamma - tail) / k
+        if spend < caps[k - 1]:
+            break
+        tail += caps[k - 1]
+    beta = scalar.level_from_budget(spend)
+    gammas = tuple(min(spend, cap) for cap in caps)
+    saturated = tuple(spend >= cap for cap in caps)
+    total = 0.0
+    for value in values:
+        total += max(value - beta, 0.0)
+    return allocation.Allocation(gammas, beta, total, saturated, 0.0)
+
+
+def _ref_breakpoints(raw):
+    caps = [scalar.mutual_information(r) for r in _ref_as_rhos(raw)]
+    out, tail = [], 0.0
+    for k in range(len(caps), 0, -1):
+        out.append(k * caps[k - 1] + tail)
+        tail += caps[k - 1]
+    return tuple(out)
+
+
+def _ref_wyner_ci(r, gamma):
+    gamma = _ref_budget(gamma)
+    value = scalar.common_information(r)
+    if math.isinf(value):
+        return 0.0 if math.isinf(gamma) else math.inf
+    return max(value - scalar.level_from_budget(gamma), 0.0)
+
+
+def _ref_evaluate(raw, gammas):
+    rhos = _ref_as_rhos(raw)
+    if len(gammas) != len(rhos):
+        raise ParameterError(
+            f"got {len(gammas)} budgets for {len(rhos)} components")
+    return sum(_ref_wyner_ci(r, g) for r, g in zip(rhos, gammas))
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", repr(f(*args))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+_EDGES = [0.0, -0.0, 1.0, 5e-324, 1.0 + 5e-10, -5e-10, 1.0 + 2e-9, -2e-9,
+          math.nan, math.inf, -math.inf, 10**400, "abc", None]
+_entries = (st.floats(0.0, 1.0) | st.sampled_from(_EDGES)
+            | st.floats(-2e-9, 2e-9) | st.floats(1.0 - 2e-9, 1.0 + 2e-9))
+_budgets = (st.floats(0.0, 5.0) | st.floats(-1.0, 1e300)
+            | st.sampled_from([0.0, -0.0, 5e-324, math.inf, math.nan, -1.0,
+                               10**400, "abc", None]))
+
+
+def _descending_key(value):
+    return -math.inf if math.isnan(value) else value
+
+
+@st.composite
+def _spectra(draw):
+    values = draw(st.lists(_entries, max_size=12))
+    if draw(st.booleans()):
+        # descending floats, so the whole-sequence checks accept or reject
+        # them, now and then with one entry nudged up past its left
+        # neighbour by about 1e-12 (within the tolerance or just beyond)
+        values = sorted((v for v in values if isinstance(v, float)),
+                        key=_descending_key, reverse=True)
+        if len(values) > 1 and draw(st.booleans()):
+            i = draw(st.integers(1, len(values) - 1))
+            values[i] = values[i - 1] + draw(
+                st.sampled_from([1e-13, 5e-13, 1e-12, 2e-12]))
+    return values
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(spectrum=_spectra(), gamma=_budgets, data=st.data())
+    def test_matches_the_per_element_reference(self, spectrum, gamma, data):
+        n = len(spectrum)
+        gammas = data.draw(
+            st.lists(_budgets, min_size=n, max_size=n)
+            | st.lists(_budgets, max_size=n + 1))
+        for lib, ref, args in [
+                (allocation.as_rhos, _ref_as_rhos, (spectrum,)),
+                (waterfill, _ref_waterfill, (spectrum, gamma)),
+                (saturation_breakpoints, _ref_breakpoints, (spectrum,)),
+                (evaluate_allocation, _ref_evaluate, (spectrum, gammas))]:
+            assert _outcome(lib, *args) == _outcome(ref, *args), lib.__name__
+
+    @pytest.mark.parametrize("spectrum, gamma", [
+        ([0.5, 0.0], -0.0),         # a -0.0 spend meets a +0.0 cap
+        ([0.9, 0.5, 0.0, -0.0], -0.0),
+        ([1.0, 0.5, 0.0], -0.0),
+        ([1.0, 1.0, 0.0], 0.0),
+        ([0.0, -0.0], -0.0),        # the slack path
+        ([], -0.0),
+    ])
+    def test_matches_the_reference_at_signed_zeros(self, spectrum, gamma):
+        assert _outcome(waterfill, spectrum, gamma) == \
+            _outcome(_ref_waterfill, spectrum, gamma)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rhos=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0]),
+                         min_size=1, max_size=300),
+           share=st.floats(0.0, 1.2))
+    def test_matches_the_reference_on_long_spectra(self, rhos, share):
+        rhos = sorted(rhos, reverse=True)
+        gamma = share * sum(scalar.mutual_information(r)
+                            for r in rhos if r < 1.0)
+        alloc = waterfill(rhos, gamma)
+        assert repr(alloc) == repr(_ref_waterfill(rhos, gamma))
+        assert repr(saturation_breakpoints(rhos)) == \
+            repr(_ref_breakpoints(rhos))
+        assert repr(evaluate_allocation(rhos, alloc.gammas)) == \
+            repr(_ref_evaluate(rhos, alloc.gammas))

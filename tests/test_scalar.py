@@ -86,11 +86,21 @@ class TestKernels:
                               2.2250738585072014e-308, 1e-170,
                               1.0 - 2.0 ** -53]))
     def test_equal_public_functions_bit_for_bit(self, r):
-        # -0.0 is in the set: as_rhos passes it through as it is
+        # -0.0 is in the set: the kernels give +0.0 there, as at 0.0
         assert scalar._common_information(r).hex() == \
             scalar.common_information(r).hex()
         assert scalar._mutual_information(r).hex() == \
             scalar.mutual_information(r).hex()
+
+    @given(r=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324]),
+           gamma=st.floats(0.0, 50.0)
+           | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf]))
+    def test_budget_kernels_equal_public_functions_bit_for_bit(self, r,
+                                                               gamma):
+        assert scalar._level_from_budget(gamma).hex() == \
+            scalar.level_from_budget(gamma).hex()
+        assert scalar._wyner_ci(r, gamma).hex() == \
+            scalar.wyner_ci_scalar(r, gamma).hex()
 
 
 class TestValidators:
@@ -102,6 +112,15 @@ class TestValidators:
     def test_int_too_large_for_a_float_is_a_parameter_error(self, check,
                                                             value):
         with pytest.raises(ParameterError, match="too large in magnitude"):
+            check(value)
+
+    @pytest.mark.parametrize("check", [
+        scalar.validate_correlation, scalar.validate_budget,
+        scalar.level_from_budget, scalar.budget_from_level])
+    @pytest.mark.parametrize("value", ["abc", None, [0.5], object()],
+                             ids=["str", "None", "list", "object"])
+    def test_non_number_is_a_parameter_error(self, check, value):
+        with pytest.raises(ParameterError, match="is not a number$"):
             check(value)
 
 
@@ -194,6 +213,12 @@ class TestWynerCiScalar:
             scalar.wyner_ci_scalar(10**400, 0.1)
         with pytest.raises(ParameterError):
             scalar.wyner_ci_scalar(0.5, 10**400)
+        # not a number
+        with pytest.raises(ParameterError,
+                           match="^correlation is not a number$"):
+            scalar.wyner_ci_scalar("abc", 0.1)
+        with pytest.raises(ParameterError, match="^budget is not a number$"):
+            scalar.wyner_ci_scalar(0.5, None)
 
     @given(rho=rhos_open, gamma=budgets)
     def test_negative_correlation_symmetry(self, rho, gamma):
