@@ -8,13 +8,6 @@ can convert to bits at the output boundary.
 
 __version__ = "0.1.0"
 
-from .allocation import (
-    Allocation,
-    CanonicalSpectrum,
-    evaluate_allocation,
-    saturation_breakpoints,
-    waterfill,
-)
 from .errors import CovarianceError, GausswynerError, ParameterError
 from .graywyner import GrayWynerPoint, Regime, common_rate
 from .scalar import (
@@ -27,9 +20,17 @@ from .scalar import (
     wyner_ci_scalar,
 )
 
-# The vector names need numpy, which the closed forms never use: they are
-# resolved from the vector module on first access (PEP 562), so importing
-# the package, or running a scalar command, does not load numpy.
+# The closed-form commands use neither module below: the vector names need
+# numpy, and the allocation names cost import time that scalar, graywyner
+# and curve never earn back. Both are resolved on first access (PEP 562),
+# so importing the package, or running a scalar command, loads neither.
+_ALLOCATION_NAMES = frozenset({
+    "Allocation",
+    "CanonicalSpectrum",
+    "evaluate_allocation",
+    "saturation_breakpoints",
+    "waterfill",
+})
 _VECTOR_NAMES = frozenset({
     "JointGaussianCov",
     "VectorCI",
@@ -69,6 +70,9 @@ __all__ = [
 
 
 def __getattr__(name):
+    if name in _ALLOCATION_NAMES:
+        from . import allocation
+        return getattr(allocation, name)
     if name in _VECTOR_NAMES:
         from . import vector
         return getattr(vector, name)
@@ -76,4 +80,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(globals().keys() | _VECTOR_NAMES)
+    return sorted(globals().keys() | _ALLOCATION_NAMES | _VECTOR_NAMES)

@@ -19,11 +19,10 @@ the unchecked scalar kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, ge, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
 from .scalar import (
@@ -45,8 +44,7 @@ __all__ = [
     "waterfill",
 ]
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Optimal budget split for one spectrum.
 
     gammas
@@ -69,14 +67,39 @@ class Allocation:
     slack: float = 0.0
 
 
-@dataclass(frozen=True)
 class CanonicalSpectrum:
-    """Descending canonical correlations in [0, 1], checked when built."""
+    """Descending canonical correlations in [0, 1], checked when built.
 
-    rhos: tuple[float, ...]
+    Immutable, and compared and hashed by ``rhos``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rhos", as_rhos(self.rhos))
+    __slots__ = ("rhos",)
+    __match_args__ = ("rhos",)
+
+    def __init__(self, rhos: Sequence[float]):
+        object.__setattr__(self, "rhos", as_rhos(rhos))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rhos={self.rhos!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rhos == other.rhos
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rhos,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through __init__: the default
+        # protocol would restore the slot through __setattr__, which raises
+        return type(self), (self.rhos,)
 
     def __len__(self) -> int:
         return len(self.rhos)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .scalar import _as_float, validate_correlation
@@ -40,8 +40,7 @@ class Regime(str, enum.Enum):
     INFEASIBLE_ZERO = "INFEASIBLE_ZERO"  # distortion loose enough for R0 = 0
 
 
-@dataclass(frozen=True)
-class GrayWynerPoint:
+class GrayWynerPoint(NamedTuple):
     """Inputs and resulting minimal common rate."""
 
     sigma2: float

@@ -18,7 +18,7 @@ meaningful when one canonical component is degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -70,11 +70,13 @@ def validate_correlation(rho: float) -> float:
 
 
 def validate_budget(gamma: float) -> float:
-    """Check that a conditional-information budget is nonnegative."""
+    """Check that a conditional-information budget is nonnegative; -0.0
+    reads as +0.0."""
     gamma = _as_float(gamma, "budget")
     if math.isnan(gamma) or gamma < 0.0:
         raise ParameterError(f"budget {gamma!r} must be >= 0 nats")
-    return gamma
+    # 0.0 + x: -0.0 passes the check above and would reach the output
+    return 0.0 + gamma
 
 
 def _common_information(r: float) -> float:
@@ -124,8 +126,9 @@ def _level_from_budget(x: float) -> float:
         return math.inf
     # With s = sqrt(1 - e^{-2x}), the level is (1/2)ln((1+s)/(1-s)). Rewrite
     # via 1 - s = e^{-2x}/(1+s) so both tiny and huge x keep full relative
-    # accuracy (expm1 avoids the 1 - e^{-2x} cancellation near 0).
-    s = math.sqrt(-math.expm1(-2.0 * x))
+    # accuracy (expm1 avoids the 1 - e^{-2x} cancellation near 0). 0.0 - y
+    # rather than -y: at x = -0.0 the level is +0.0, as at x = 0.0.
+    s = math.sqrt(0.0 - math.expm1(-2.0 * x))
     return math.log1p(s) + x
 
 
@@ -169,8 +172,7 @@ def _wyner_ci(r: float, gamma: float) -> float:
     return max(value - _level_from_budget(gamma), 0.0)
 
 
-@dataclass(frozen=True)
-class AchievabilityParams:
+class AchievabilityParams(NamedTuple):
     """Optimal Gaussian auxiliary attaining :func:`wyner_ci_scalar`.
 
     alpha_noise
@@ -198,7 +200,8 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
     undefined once the component is already saturated. Negative correlation
     should be folded to |rho| by the caller (a sign flip of one source).
     """
-    rho = validate_correlation(rho)
+    # 0.0 + x: at rho = -0.0 every field reads +0.0, as at rho = 0.0
+    rho = 0.0 + validate_correlation(rho)
     gamma = validate_budget(gamma)
     if not 0.0 <= rho < 1.0:
         raise ParameterError(

@@ -85,6 +85,16 @@ class TestWaterfill:
         alloc = waterfill([-0.0], 0.7)
         assert math.copysign(1.0, alloc.water_level_beta) == 1.0
 
+    def test_negative_zero_budget_reads_as_positive_zero(self):
+        # validate_budget reads -0.0 as +0.0: level, budgets and slack too
+        alloc = waterfill([0.5, 0.0], -0.0)
+        assert [math.copysign(1.0, x)
+                for x in (alloc.water_level_beta, *alloc.gammas)] == [1.0] * 3
+        assert alloc == waterfill([0.5, 0.0], 0.0)
+        slack = waterfill([0.0], -0.0).slack
+        assert slack == 0.0 and math.copysign(1.0, slack) == 1.0
+        assert math.copysign(1.0, waterfill([], -0.0).slack) == 1.0
+
     def test_empty_spectrum(self):
         alloc = waterfill([], 0.4)
         assert alloc.total_value == 0.0
@@ -315,7 +325,7 @@ def _ref_budget(gamma):
     gamma = _ref_float(gamma, "budget")
     if math.isnan(gamma) or gamma < 0.0:
         raise ParameterError(f"budget {gamma!r} must be >= 0 nats")
-    return gamma
+    return 0.0 if gamma == 0.0 else gamma
 
 
 def _ref_as_rhos(raw):
@@ -439,7 +449,7 @@ class TestAgainstReference:
             assert _outcome(lib, *args) == _outcome(ref, *args), lib.__name__
 
     @pytest.mark.parametrize("spectrum, gamma", [
-        ([0.5, 0.0], -0.0),         # a -0.0 spend meets a +0.0 cap
+        ([0.5, 0.0], -0.0),         # a -0.0 budget meets a +0.0 cap
         ([0.9, 0.5, 0.0, -0.0], -0.0),
         ([1.0, 0.5, 0.0], -0.0),
         ([1.0, 1.0, 0.0], 0.0),

@@ -93,6 +93,18 @@ class TestScalarCommand:
         assert record["value_nats"] == scalar.wyner_ci_scalar(0.37, 0.081)
         assert json.loads(json.dumps(record)) == record
 
+    @pytest.mark.parametrize("rho", ["0.5", "-0.0"])
+    def test_negative_zero_budget_prints_positive_zeros(self, capsys, rho):
+        code, out, _ = run_cli(capsys, "scalar", f"--rho={rho}",
+                               "--gamma=-0.0")
+        assert code == 0
+        record = json.loads(out)
+        assert out.count("-0.0") == 1 + (rho == "-0.0")  # the echo only
+        assert record["inputs"]["gamma"] == 0.0
+        assert math.copysign(1.0, record["inputs"]["gamma"]) == -1.0
+        assert '"alpha_noise": 0.0,' in out
+        assert '"leakage_nats": 0.0\n' in out
+
 
 class TestVectorCommand:
     def test_block_form(self, tmp_path, capsys):
@@ -133,6 +145,19 @@ class TestVectorCommand:
         assert code == 0
         assert json.loads(out)["spectrum"][1] == 0.0
         assert "-0.0" not in out
+
+    def test_negative_zero_budget_prints_positive_zeros(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
+                                    "dim_x": 1}))
+        code, out, _ = run_cli(capsys, "vector", "--input", str(path),
+                               "--gamma=-0.0")
+        assert code == 0
+        assert out.count("-0.0") == 1  # the echoed budget
+        record = json.loads(out)
+        assert record["allocation"]["water_level_nats"] == 0.0
+        assert record["allocation"]["gammas"] == [0.0]
 
     def test_tiny_budget_matches_scalar_command(self, tmp_path, capsys):
         rho, gamma = "4.292445127976509e-07", "8.74463917124356e-14"
@@ -258,6 +283,17 @@ class TestCurveCommand:
                              "--gamma-max", "0.1", "--steps", "10",
                              "--output", str(tmp_path / "no_dir" / "x.csv"))
         assert code == 4
+
+    def test_negative_zero_budget_prints_positive_zeros(self, tmp_path,
+                                                        capsys):
+        out_path = tmp_path / "curve.csv"
+        code, _, _ = run_cli(capsys, "curve", "--rho=0.5", "--gamma-max=-0.0",
+                             "--steps=2", f"--output={out_path}")
+        assert code == 0
+        text = out_path.read_text()
+        assert "-0.0" not in text
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
+            ["0.0"] * 3
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -495,6 +531,63 @@ _NUMPY_AT_EXIT = (
     "finally:\n"
     "    print('numpy' in sys.modules, file=sys.stderr)\n"
 )
+
+
+# Modules a numpy-free command must not load: numpy, dataclasses and the
+# inspect it pulls in, and the allocation module none of them calls.
+_HEAVY = ("numpy", "dataclasses", "inspect", "gausswyner.allocation")
+_LOADED_AT_EXIT = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), "
+    "file=sys.stderr))\n"
+)
+
+
+def _loaded_at_exit(*argv):
+    """Modules loaded when ``python`` exits after running ``argv``."""
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+class TestColdStart:
+    """The closed-form commands import only what they run. The loaded set
+    is compared with that of ``python -c pass`` on the same interpreter, so
+    what ``site`` preloads does not count."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return _loaded_at_exit("-c", _LOADED_AT_EXIT)
+
+    @pytest.mark.parametrize("argv", [
+        ["scalar", "--rho=0.5", "--gamma=0.1"],
+        ["graywyner", "--rho=0.5", "--delta=0.75", "--alpha=0"],
+        ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
+         "--output={out}"],
+    ])
+    def test_closed_form_commands(self, tmp_path, baseline, argv):
+        argv = [arg.format(out=tmp_path / "curve.csv") for arg in argv]
+        code = (_LOADED_AT_EXIT + "import runpy\n"
+                "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
+                "runpy.run_module('gausswyner', run_name='__main__')\n")
+        loaded = _loaded_at_exit("-c", code, *argv)
+        assert "gausswyner.cli" in loaded
+        assert not (set(_HEAVY) & loaded) - baseline
+
+    def test_cli_import(self, baseline):
+        loaded = _loaded_at_exit(
+            "-c", _LOADED_AT_EXIT + "import gausswyner.cli")
+        assert "gausswyner.cli" in loaded
+        assert not (set(_HEAVY) & loaded) - baseline
+
+    def test_allocation_loads_on_first_access(self, baseline):
+        loaded = _loaded_at_exit(
+            "-c", _LOADED_AT_EXIT + "import gausswyner\n"
+            "assert 'gausswyner.allocation' not in sys.modules\n"
+            "gausswyner.waterfill([0.5], 0.1)")
+        assert "gausswyner.allocation" in loaded
+        assert "numpy" not in loaded - baseline
 
 
 class TestLazyNumpy:

@@ -124,6 +124,32 @@ class TestValidators:
             check(value)
 
 
+def _positive_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+class TestNegativeZeroBudget:
+    """A budget of -0.0 passes the >= 0 check; every computed result reads
+    +0.0, as at a budget of 0.0."""
+
+    def test_validator_returns_positive_zero(self):
+        assert _positive_zero(scalar.validate_budget(-0.0))
+        assert _positive_zero(scalar.validate_budget(0.0))
+
+    def test_level_is_positive_zero(self):
+        assert _positive_zero(scalar.level_from_budget(-0.0))
+        assert _positive_zero(scalar._level_from_budget(-0.0))
+
+    @pytest.mark.parametrize("rho", [0.5, 0.0, -0.0, 0.999999])
+    @pytest.mark.parametrize("gamma", [0.0, -0.0])
+    def test_achievability_fields_are_positive_zero(self, rho, gamma):
+        params = scalar.achievability_params(rho, gamma)
+        assert _positive_zero(params.alpha_noise)
+        assert _positive_zero(params.leakage_nats)
+        assert math.copysign(1.0, params.sigma2_w) == 1.0
+        assert math.copysign(1.0, params.rate_nats) == 1.0
+
+
 class TestTransferCurves:
     def test_level_at_zero(self):
         assert scalar.level_from_budget(0.0) == 0.0
