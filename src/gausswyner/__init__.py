@@ -9,75 +9,45 @@ can convert to bits at the output boundary.
 __version__ = "0.1.0"
 
 from .errors import CovarianceError, GausswynerError, ParameterError
-from .graywyner import GrayWynerPoint, Regime, common_rate
-from .scalar import (
-    AchievabilityParams,
-    achievability_params,
-    budget_from_level,
-    common_information,
-    level_from_budget,
-    mutual_information,
-    wyner_ci_scalar,
-)
 
-# The closed-form commands use neither module below: the vector names need
-# numpy, and the allocation names cost import time that scalar, graywyner
-# and curve never earn back. Both are resolved on first access (PEP 562),
-# so importing the package, or running a scalar command, loads neither.
-_ALLOCATION_NAMES = frozenset({
-    "Allocation",
-    "CanonicalSpectrum",
-    "evaluate_allocation",
-    "saturation_breakpoints",
-    "waterfill",
-})
-_VECTOR_NAMES = frozenset({
-    "JointGaussianCov",
-    "VectorCI",
-    "canonical_correlations",
-    "pinv_sqrt",
-    "validate_cov",
-    "wyner_ci_vector",
-})
+# Each library name and the module that defines it. Names resolve on first
+# access (PEP 562), so importing the package loads only ``errors``, and a
+# command loads only the modules it runs: numpy comes in with ``vector``.
+_MODULE_OF = {
+    "AchievabilityParams": "scalar",
+    "achievability_params": "scalar",
+    "budget_from_level": "scalar",
+    "common_information": "scalar",
+    "level_from_budget": "scalar",
+    "mutual_information": "scalar",
+    "wyner_ci_scalar": "scalar",
+    "GrayWynerPoint": "graywyner",
+    "Regime": "graywyner",
+    "common_rate": "graywyner",
+    "Allocation": "allocation",
+    "CanonicalSpectrum": "allocation",
+    "evaluate_allocation": "allocation",
+    "saturation_breakpoints": "allocation",
+    "waterfill": "allocation",
+    "JointGaussianCov": "vector",
+    "VectorCI": "vector",
+    "canonical_correlations": "vector",
+    "pinv_sqrt": "vector",
+    "validate_cov": "vector",
+    "wyner_ci_vector": "vector",
+}
 
-__all__ = [
-    "__version__",
-    "AchievabilityParams",
-    "Allocation",
-    "CanonicalSpectrum",
-    "CovarianceError",
-    "GausswynerError",
-    "GrayWynerPoint",
-    "JointGaussianCov",
-    "ParameterError",
-    "Regime",
-    "VectorCI",
-    "achievability_params",
-    "budget_from_level",
-    "canonical_correlations",
-    "common_information",
-    "common_rate",
-    "evaluate_allocation",
-    "level_from_budget",
-    "mutual_information",
-    "pinv_sqrt",
-    "saturation_breakpoints",
-    "validate_cov",
-    "waterfill",
-    "wyner_ci_scalar",
-    "wyner_ci_vector",
-]
+__all__ = ["__version__", "CovarianceError", "GausswynerError",
+           "ParameterError", *_MODULE_OF]
 
 
 def __getattr__(name):
-    if name in _ALLOCATION_NAMES:
-        from . import allocation
-        return getattr(allocation, name)
-    if name in _VECTOR_NAMES:
-        from . import vector
-        return getattr(vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
 
 
 def __dir__():
-    return sorted(globals().keys() | _ALLOCATION_NAMES | _VECTOR_NAMES)
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -11,22 +11,16 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 3 numerical/validation error, 4 I/O error.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
-# vector and oracle load numpy, which scalar, curve and graywyner never use,
-# so the commands that need them import them where they run
-from . import __version__, graywyner, scalar
+# Each command imports the library modules it runs, and json only where JSON
+# is read or written, so a command loads nothing it does not use: numpy comes
+# in only with vector and verify
+from . import __version__
 from ._suites import SUITES
 from .errors import CovarianceError, ParameterError
-
-if TYPE_CHECKING:
-    from .vector import JointGaussianCov
 
 __all__ = ["main"]
 
@@ -35,6 +29,8 @@ _LN2 = math.log(2.0)
 
 
 def _emit(record: dict) -> None:
+    import json
+
     print(json.dumps(record, indent=2))
 
 
@@ -55,6 +51,8 @@ def _base_record(command: str, inputs: dict) -> dict:
 
 
 def _cmd_scalar(args) -> int:
+    from . import scalar
+
     rho = scalar.validate_correlation(args.rho)
     gamma = scalar.validate_budget(args.gamma)
     value = scalar.wyner_ci_scalar(rho, gamma)
@@ -76,7 +74,7 @@ def _cmd_scalar(args) -> int:
     return 0
 
 
-def _cov_from_payload(payload) -> JointGaussianCov:
+def _cov_from_payload(payload):
     from . import vector
 
     if not isinstance(payload, dict):
@@ -92,6 +90,8 @@ def _cov_from_payload(payload) -> JointGaussianCov:
 
 
 def _cmd_vector(args) -> int:
+    import json
+
     from . import vector
 
     with open(args.input, "r", encoding="utf-8") as handle:
@@ -119,6 +119,8 @@ def _cmd_vector(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from . import scalar
+
     rho = scalar.validate_correlation(args.rho)
     gamma_max = scalar.validate_budget(args.gamma_max)
     if math.isinf(gamma_max):
@@ -129,6 +131,8 @@ def _cmd_curve(args) -> int:
     lines = ["gamma,c_gamma_nats,lower_bound_nats"]
     for j in range(args.steps + 1):
         gamma = gamma_max * j / args.steps
+        if math.isinf(gamma):  # gamma_max * j overflowed
+            gamma = gamma_max * (j / args.steps)
         value = scalar.wyner_ci_scalar(rho, gamma)
         lower = max(bound_at_zero - gamma, 0.0)
         lines.append(f"{gamma!r},{value!r},{lower!r}")
@@ -138,6 +142,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_graywyner(args) -> int:
+    from . import graywyner
+
     point = graywyner.common_rate(args.sigma2, args.rho, args.delta,
                                   args.alpha)
     suffix, div = _units(args)

@@ -184,7 +184,8 @@ def _canonical(cov: JointGaussianCov) -> tuple[_Eigen, _Eigen, np.ndarray]:
     have norm at most 1 while W does not.
     """
     if not isinstance(cov, JointGaussianCov):
-        raise ParameterError("validate_cov expects a JointGaussianCov")
+        raise ParameterError(
+            f"expected a JointGaussianCov, got {type(cov).__name__}")
     if not np.all(np.isfinite(cov.k_xy)):
         raise CovarianceError("k_xy contains non-finite entries")
     x = _eigen("k_x", cov.k_x)

@@ -295,6 +295,27 @@ class TestCurveCommand:
         assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
             ["0.0"] * 3
 
+    @pytest.mark.parametrize("gamma_max, steps", [("1e306", 200),
+                                                  ("1.7e308", 2)])
+    def test_huge_budget_gives_finite_rows(self, tmp_path, capsys, gamma_max,
+                                           steps):
+        out_path = tmp_path / "curve.csv"
+        code, _, _ = run_cli(capsys, "curve", "--rho=0.5",
+                             f"--gamma-max={gamma_max}", f"--steps={steps}",
+                             f"--output={out_path}")
+        assert code == 0
+        gammas = [float(line.split(",")[0])
+                  for line in out_path.read_text().splitlines()[1:]]
+        top = float(gamma_max)
+        assert len(gammas) == steps + 1
+        assert all(map(math.isfinite, gammas))
+        assert gammas == sorted(gammas)
+        assert gammas[-1] <= top
+        # a row whose product top * j is finite keeps the plain formula
+        for j, gamma in enumerate(gammas):
+            if math.isfinite(top * j):
+                assert gamma == top * j / steps
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -536,11 +557,17 @@ _NUMPY_AT_EXIT = (
 # Modules a numpy-free command must not load: numpy, dataclasses and the
 # inspect it pulls in, and the allocation module none of them calls.
 _HEAVY = ("numpy", "dataclasses", "inspect", "gausswyner.allocation")
+# Prints the names without json, so that a test can see whether json loads.
 _LOADED_AT_EXIT = (
-    "import atexit, json, sys\n"
-    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), "
-    "file=sys.stderr))\n"
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
 )
+# Modules a command must not load either, because it does not run them.
+_UNUSED = {"scalar": {"gausswyner.graywyner"},
+           "curve": {"gausswyner.graywyner", "json"},
+           "graywyner": set()}
+_ONE_NAME_OF = {module: name
+                for name, module in gausswyner._MODULE_OF.items()}
 
 
 def _loaded_at_exit(*argv):
@@ -548,7 +575,7 @@ def _loaded_at_exit(*argv):
     proc = subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 class TestColdStart:
@@ -573,7 +600,7 @@ class TestColdStart:
                 "runpy.run_module('gausswyner', run_name='__main__')\n")
         loaded = _loaded_at_exit("-c", code, *argv)
         assert "gausswyner.cli" in loaded
-        assert not (set(_HEAVY) & loaded) - baseline
+        assert not ((set(_HEAVY) | _UNUSED[argv[0]]) & loaded) - baseline
 
     def test_cli_import(self, baseline):
         loaded = _loaded_at_exit(
@@ -581,13 +608,25 @@ class TestColdStart:
         assert "gausswyner.cli" in loaded
         assert not (set(_HEAVY) & loaded) - baseline
 
-    def test_allocation_loads_on_first_access(self, baseline):
+    def test_package_import_loads_only_errors(self):
+        loaded = _loaded_at_exit("-c", _LOADED_AT_EXIT + "import gausswyner")
+        assert {name for name in loaded
+                if name.startswith("gausswyner.")} == {"gausswyner.errors"}
+
+    @pytest.mark.parametrize("module", sorted(_ONE_NAME_OF))
+    def test_module_loads_on_first_access(self, baseline, module):
         loaded = _loaded_at_exit(
             "-c", _LOADED_AT_EXIT + "import gausswyner\n"
-            "assert 'gausswyner.allocation' not in sys.modules\n"
-            "gausswyner.waterfill([0.5], 0.1)")
-        assert "gausswyner.allocation" in loaded
-        assert "numpy" not in loaded - baseline
+            f"assert 'gausswyner.{module}' not in sys.modules\n"
+            f"gausswyner.{_ONE_NAME_OF[module]}\n")
+        assert f"gausswyner.{module}" in loaded
+        assert ("numpy" in loaded - baseline) == (module == "vector")
+
+    def test_all_is_the_table_plus_version_and_errors(self):
+        assert len(set(gausswyner.__all__)) == len(gausswyner.__all__)
+        assert set(gausswyner.__all__) == gausswyner._MODULE_OF.keys() | {
+            "__version__", "CovarianceError", "GausswynerError",
+            "ParameterError"}
 
 
 class TestLazyNumpy:

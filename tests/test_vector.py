@@ -85,6 +85,16 @@ class TestValidateCov:
         cov = JointGaussianCov(np.eye(2), np.zeros((2, 2)), np.eye(2))
         vector.validate_cov(cov)
 
+    @pytest.mark.parametrize("name, args", [
+        ("validate_cov", ()),
+        ("canonical_correlations", ()),
+        ("wyner_ci_vector", (0.1,)),
+    ])
+    def test_wrong_type_message_names_no_function(self, name, args):
+        with pytest.raises(ParameterError) as exc:
+            getattr(vector, name)([[1.0]], *args)
+        assert str(exc.value) == "expected a JointGaussianCov, got list"
+
     def test_correlation_above_one_fails_psd(self):
         cov = JointGaussianCov([[1.0]], [[2.0]], [[1.0]])
         with pytest.raises(CovarianceError, match="eigenvalue"):
