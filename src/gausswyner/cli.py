@@ -133,6 +133,8 @@ def _cmd_curve(args) -> int:
         gamma = gamma_max * j / args.steps
         if math.isinf(gamma):  # gamma_max * j overflowed
             gamma = gamma_max * (j / args.steps)
+        if j == args.steps:  # the product can round one ulp above the top
+            gamma = gamma_max
         value = scalar.wyner_ci_scalar(rho, gamma)
         lower = max(bound_at_zero - gamma, 0.0)
         lines.append(f"{gamma!r},{value!r},{lower!r}")

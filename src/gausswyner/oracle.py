@@ -5,14 +5,16 @@ library modules: determinant arithmetic on explicitly constructed
 covariances, exhaustive grids, golden-section maximization of the dual
 bounds, and exact entropy sums over finite probability tables. Every check
 returns a :class:`CheckReport` carrying the oracle value and the closed-form
-value side by side; :func:`run_suite` runs the published instance matrix
-used by the command-line ``verify`` subcommand.
+value side by side; :func:`run_suite` runs the published instance table
+used by the command-line ``verify`` subcommand. Grid sizes, sample counts
+and seeds are fixed constants; the simplex ``step`` of
+:func:`verify_waterfill_grid` is the one tuning argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +39,14 @@ __all__ = [
 _LN2 = math.log(2.0)
 _FOUR_PI2E2 = (2.0 * math.pi * math.e) ** 2
 
+_SCALAR_GRID_SIZE = 100_000   # alpha samples of the achievability sweep
+_DUAL_SAMPLES = 50            # random triples of the weak-duality sweep
+_DUAL_SEED = 7
+_ENVELOPE_POINTS = 500        # q columns, and sig2 samples per column
+_GOLDEN_ITERATIONS = 200
 
-@dataclass(frozen=True)
-class CheckReport:
+
+class CheckReport(NamedTuple):
     """One verifier outcome: oracle value vs closed form at a tolerance."""
 
     name: str
@@ -47,7 +54,7 @@ class CheckReport:
     closed_form_value: float
     tolerance: float
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def as_dict(self) -> dict:
         return {
@@ -82,36 +89,31 @@ def _construction_curves(rho: float, alphas: np.ndarray):
     return rate, leakage
 
 
-def verify_scalar_achievability(rho: float, gamma: float,
-                                grid_size: int = 100_000) -> CheckReport:
+def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     """Sweep the residual noise correlation over [0, rho] and compare the
     best construction obeying the leakage budget with the scalar closed form.
 
-    Also confirms that the analytic choice sqrt(1 - e^{-2 gamma}) meets the
-    budget with equality.
+    Also confirms that the library's construction
+    (:func:`scalar.achievability_params`) meets the budget with equality.
     """
-    rho = float(rho)
-    gamma = scalar.validate_budget(gamma)
+    rho = scalar._as_float(rho, "correlation")
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"sweep requires 0 < rho < 1, got {rho!r}")
-    cap = scalar.mutual_information(rho)
-    if gamma > cap + 1e-12:
-        raise ParameterError(
-            f"budget {gamma!r} beyond saturation {cap!r}; sweep undefined")
-    if grid_size < 2:
-        raise ParameterError("grid_size must be at least 2")
-    alphas = np.linspace(0.0, rho, grid_size)
+    # rejects a budget beyond saturation, where the sweep is undefined
+    construction = scalar.achievability_params(rho, gamma)
+    gamma = construction.leakage_nats
+    alphas = np.linspace(0.0, rho, _SCALAR_GRID_SIZE)
     rate, leakage = _construction_curves(rho, alphas)
     feasible = leakage <= gamma + 1e-15
     best_idx = int(np.argmin(np.where(feasible, rate, np.inf)))
     best = float(rate[best_idx])
     closed = scalar.wyner_ci_scalar(rho, gamma)
 
-    alpha_star = min(math.sqrt(-math.expm1(-2.0 * gamma)), rho)
+    alpha_star = construction.alpha_noise
     _, leak_star = _construction_curves(rho, np.array([alpha_star]))
     budget_gap = abs(float(leak_star[0]) - gamma)
 
-    step = rho / (grid_size - 1)
+    step = rho / (_SCALAR_GRID_SIZE - 1)
     slope = 1.0 / (1.0 - float(alphas[best_idx]) ** 2)
     tolerance = max(4.0 * step * slope, 1e-12)
     passed = (-1e-12 <= best - closed <= tolerance) and budget_gap <= 1e-12
@@ -122,7 +124,7 @@ def verify_scalar_achievability(rho: float, gamma: float,
         tolerance=tolerance,
         passed=passed,
         details={
-            "grid_size": grid_size,
+            "grid_size": _SCALAR_GRID_SIZE,
             "alpha_best": float(alphas[best_idx]),
             "alpha_construction": alpha_star,
             "construction_budget_gap": budget_gap,
@@ -130,17 +132,17 @@ def verify_scalar_achievability(rho: float, gamma: float,
     )
 
 
-def verify_dual_bound_sweep(samples: int = 50, seed: int = 7) -> CheckReport:
+def verify_dual_bound_sweep() -> CheckReport:
     """Weak duality sweep for the scalar dual bound.
 
     On random admissible triples (rho, gamma, mu >= 1/rho) the dual bound
     must never exceed the closed form; the report's oracle value is the
     worst (largest) gap found.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DUAL_SEED)
     worst = -math.inf
     worst_at = None
-    for _ in range(samples):
+    for _ in range(_DUAL_SAMPLES):
         rho = float(rng.uniform(0.05, 0.95))
         gamma = float(rng.uniform(0.0, 1.5)) * scalar.mutual_information(rho)
         mu = 1.0 / rho + float(rng.uniform(0.0, 10.0))
@@ -149,7 +151,7 @@ def verify_dual_bound_sweep(samples: int = 50, seed: int = 7) -> CheckReport:
         if gap > worst:
             worst, worst_at = gap, (rho, gamma, mu)
     return CheckReport(
-        name=f"scalar_dual_weak_duality(samples={samples})",
+        name=f"scalar_dual_weak_duality(samples={_DUAL_SAMPLES})",
         oracle_value=worst,
         closed_form_value=0.0,
         tolerance=1e-12,
@@ -190,8 +192,10 @@ def verify_waterfill_grid(spectrum, gamma: float,
         raise ParameterError("grid oracle supports 1 to 3 components")
     if rhos and rhos[0] >= 1.0:
         raise ParameterError("grid oracle requires rho < 1")
-    if step <= 0.0:
-        raise ParameterError("step must be positive")
+    step = scalar._as_float(step, "step")
+    # an infinite step would make the tolerance, 10 * step, accept anything
+    if not 0.0 < step < math.inf:
+        raise ParameterError(f"step {step!r} must be positive and finite")
     alloc = allocation.waterfill(rhos, gamma)
 
     if len(rhos) == 1:
@@ -252,39 +256,37 @@ def envelope_closed_form(rho: float, lam: float) -> float:
                 _FOUR_PI2E2 * (1.0 - rho) ** 2 * (1.0 + lam) / (1.0 - lam)))
 
 
-def verify_envelope_grid(rho: float, lam: float,
-                         grid_points: int = 500) -> CheckReport:
+def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
     """Brute-force the constrained-covariance envelope bound.
 
     The feasible set caps sig2 at min{1, (1-rho)/(1-q)} for q <= rho and at
     min{1, (1+rho)/(1+q)} above, with a kink at q = rho. The grid is
-    boundary-fitted: each of the ``grid_points`` q-columns carries
-    ``grid_points`` sig2 samples up to its own cap, and a grid node sits
-    exactly on the kink. (A plain bounding-box product grid cannot localize
-    the minimizer: the objective decreases toward the cap, so off-boundary
-    sampling noise of order cap/grid_points swamps the shallow curvature
-    along the boundary.) Checks that the grid minimum does not undercut the
-    closed form and that the minimizer lands within two cells of the
-    analytic optimum (sig2, q) = ((1-rho)/(1-lam), lam).
+    boundary-fitted: each of its 500 q-columns carries 500 sig2 samples up
+    to its own cap, and a grid node sits exactly on the kink. (A plain
+    bounding-box product grid cannot localize the minimizer: the objective
+    decreases toward the cap, so off-boundary sampling noise of order
+    cap/500 swamps the shallow curvature along the boundary.) Checks that
+    the grid minimum does not undercut the closed form and that the
+    minimizer lands within two cells of the analytic optimum
+    (sig2, q) = ((1-rho)/(1-lam), lam).
     """
-    rho, lam = float(rho), float(lam)
+    rho = scalar._as_float(rho, "correlation")
+    lam = scalar._as_float(lam, "envelope multiplier")
     if not 0.0 < lam <= rho < 1.0:
         raise ParameterError(
             f"envelope grid requires 0 < lam <= rho < 1, got "
             f"lam={lam!r}, rho={rho!r}")
-    if grid_points < 10:
-        raise ParameterError("grid_points must be at least 10")
-    edge = 1.0 / grid_points
-    n_left = min(max(2, int(round((rho + 1.0) / 2.0 * grid_points))),
-                 grid_points - 1)
-    n_right = grid_points - n_left + 1  # the node at the kink is shared
+    edge = 1.0 / _ENVELOPE_POINTS
+    n_left = min(max(2, int(round((rho + 1.0) / 2.0 * _ENVELOPE_POINTS))),
+                 _ENVELOPE_POINTS - 1)
+    n_right = _ENVELOPE_POINTS - n_left + 1  # the kink node is shared
     q = np.unique(np.concatenate([
         np.linspace(-1.0 + edge, rho, n_left),
         np.linspace(rho, 1.0 - edge, n_right),
     ]))
     cap = np.where(q <= rho, (1.0 - rho) / (1.0 - q), (1.0 + rho) / (1.0 + q))
     cap = np.minimum(cap, 1.0)
-    fractions = np.linspace(edge, 1.0, grid_points)[:, None]
+    fractions = np.linspace(edge, 1.0, _ENVELOPE_POINTS)[:, None]
     sig2 = fractions * cap[None, :]
     objective = _envelope_objective(lam, sig2, q[None, :])
     row, col = np.unravel_index(int(np.argmin(objective)), objective.shape)
@@ -294,7 +296,7 @@ def verify_envelope_grid(rho: float, lam: float,
     closed = envelope_closed_form(rho, lam)
     sig2_star, q_star = (1.0 - rho) / (1.0 - lam), lam
     q_cell = (rho + 1.0 - edge) / (n_left - 1)
-    sig2_cell = (1.0 - edge) / (grid_points - 1) * float(cap[col])
+    sig2_cell = (1.0 - edge) / (_ENVELOPE_POINTS - 1) * float(cap[col])
     kkt_gap = float(_envelope_objective(
         lam, np.array([sig2_star]), np.array([q_star]))[0]) - closed
 
@@ -309,7 +311,7 @@ def verify_envelope_grid(rho: float, lam: float,
         tolerance=1e-3,
         passed=passed,
         details={
-            "grid_points": grid_points,
+            "grid_points": _ENVELOPE_POINTS,
             "minimizer": [sig2_hat, q_hat],
             "analytic_minimizer": [sig2_star, q_star],
             "cells_off": [abs(sig2_hat - sig2_star) / sig2_cell,
@@ -326,13 +328,13 @@ def verify_envelope_grid(rho: float, lam: float,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section_max(fn, lo: float, hi: float, iterations: int = 200):
+def _golden_section_max(fn, lo: float, hi: float):
     """Golden-section search for the maximum of a unimodal function."""
     a, b = lo, hi
     width = b - a
     c, d = b - _INVPHI * width, a + _INVPHI * width
     fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_ITERATIONS):
         if fc >= fd:
             b, d, fd = d, c, fc
             width = b - a
@@ -392,8 +394,10 @@ def discrete_mutual_information(pmf, axes_a, axes_b, given=()) -> float:
     groups = axes_a + axes_b + given
     if len(set(groups)) != len(groups):
         raise ParameterError("axis groups must be disjoint")
-    if any(not 0 <= ax < pmf.ndim for ax in groups):
-        raise ParameterError(f"axis out of range for a {pmf.ndim}-d table")
+    if any(not isinstance(ax, (int, np.integer)) or not 0 <= ax < pmf.ndim
+           for ax in groups):
+        raise ParameterError(
+            f"axes must be ints in range for a {pmf.ndim}-d table")
     if np.any(pmf < -1e-15):
         raise ParameterError("pmf entries must be nonnegative")
     total = float(pmf.sum())
@@ -428,7 +432,7 @@ def dsbs_construction_check(a0: float) -> CheckReport:
     information 1 + h(a0) - 2 h(p) in bits, and leaves the right marginal
     (sources disagreeing with probability a0).
     """
-    a0 = float(a0)
+    a0 = scalar._as_float(a0, "disagreement probability")
     if not 0.0 < a0 <= 0.5:
         raise ParameterError(f"disagreement probability {a0!r} must lie in "
                              "(0, 1/2]")
@@ -502,50 +506,42 @@ def erasure_construction_check(gamma: float) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# published suite matrix
+# published suite table
 # ---------------------------------------------------------------------------
 
-_SCALAR_INSTANCES = ((0.5, 0.1), (0.8, 0.05), (0.3, 0.02), (0.9, 0.4))
-_WATERFILL_INSTANCES = (
-    ((0.9, 0.2), 1.0),
-    ((0.8, 0.8), 0.2),
-    ((0.9, 0.5, 0.2), 0.5),
-)
-_ENVELOPE_INSTANCES = ((0.5, 0.3), (0.7, 0.7), (0.9, 0.2))
-_GRAYWYNER_INSTANCES = (
-    (0.5, 0.75, 0.0),
-    (0.5, 0.3, 0.0),
-    (0.5, 0.1, 0.5),
-    (0.7, 1.5, 0.0),
-)
-_DSBS_INSTANCES = (0.1, 0.25, 0.4, 0.5)
-_ERASURE_INSTANCES = (0.0, 0.1, 0.3, _LN2)
+# Each suite is a sequence of (verifier, argument tuples) rows, run in order;
+# the keys follow SUITES, whose last entry, "all", runs them all
+_SUITE_CHECKS = {
+    "scalar": (
+        (verify_scalar_achievability,
+         ((0.5, 0.1), (0.8, 0.05), (0.3, 0.02), (0.9, 0.4))),
+        (verify_dual_bound_sweep, ((),)),
+    ),
+    "waterfill": (
+        (verify_waterfill_grid,
+         (((0.9, 0.2), 1.0), ((0.8, 0.8), 0.2), ((0.9, 0.5, 0.2), 0.5))),
+    ),
+    "envelope": (
+        (verify_envelope_grid, ((0.5, 0.3), (0.7, 0.7), (0.9, 0.2))),
+    ),
+    "graywyner": (
+        (verify_graywyner_dual,
+         ((0.5, 0.75, 0.0), (0.5, 0.3, 0.0), (0.5, 0.1, 0.5),
+          (0.7, 1.5, 0.0))),
+    ),
+    "discrete": (
+        (dsbs_construction_check, ((0.1,), (0.25,), (0.4,), (0.5,))),
+        (erasure_construction_check, ((0.0,), (0.1,), (0.3,), (_LN2,))),
+    ),
+}
 
 
 def run_suite(name: str) -> list[CheckReport]:
-    """Run the named battery of verifiers on its fixed instance matrix."""
-    if name == "all":
-        reports = []
-        for sub in SUITES[:-1]:
-            reports.extend(run_suite(sub))
-        return reports
-    if name == "scalar":
-        reports = [verify_scalar_achievability(rho, gamma)
-                   for rho, gamma in _SCALAR_INSTANCES]
-        reports.append(verify_dual_bound_sweep())
-        return reports
-    if name == "waterfill":
-        return [verify_waterfill_grid(spectrum, gamma)
-                for spectrum, gamma in _WATERFILL_INSTANCES]
-    if name == "envelope":
-        return [verify_envelope_grid(rho, lam)
-                for rho, lam in _ENVELOPE_INSTANCES]
-    if name == "graywyner":
-        return [verify_graywyner_dual(rho, delta, alpha)
-                for rho, delta, alpha in _GRAYWYNER_INSTANCES]
-    if name == "discrete":
-        reports = [dsbs_construction_check(a0) for a0 in _DSBS_INSTANCES]
-        reports.extend(erasure_construction_check(gamma)
-                       for gamma in _ERASURE_INSTANCES)
-        return reports
-    raise ParameterError(f"unknown suite {name!r}; choose from {SUITES}")
+    """Run the named battery of verifiers on its fixed instance table."""
+    if name not in SUITES:
+        raise ParameterError(f"unknown suite {name!r}; choose from {SUITES}")
+    suites = SUITES[:-1] if name == "all" else (name,)
+    return [verifier(*args)
+            for suite in suites
+            for verifier, instances in _SUITE_CHECKS[suite]
+            for args in instances]

@@ -43,7 +43,7 @@ PSD_RTOL = 1e-9         # min eigenvalue >= -PSD_RTOL * max eigenvalue
 RANK_RTOL = 1e-10       # eigenvalues below RANK_RTOL * max count as zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointGaussianCov:
     """Covariance of a stacked pair of Gaussian vectors, held as blocks.
 
@@ -56,7 +56,8 @@ class JointGaussianCov:
     k_y : (dy, dy) array_like
         Covariance of the second vector.
 
-    Both vectors must have at least one component.
+    Both vectors must have at least one component. Records compare and
+    hash by identity: the generated field-wise ``==`` cannot compare arrays.
     """
 
     k_x: np.ndarray
@@ -82,6 +83,11 @@ class JointGaussianCov:
             raise ParameterError(
                 f"k_xy must have shape ({self.dim_x}, {self.dim_y}), "
                 f"got {self.k_xy.shape}")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through __init__, so their blocks
+        # are copied and frozen too; the default protocol skips __post_init__
+        return type(self), (self.k_x, self.k_xy, self.k_y)
 
     @property
     def dim_x(self) -> int:

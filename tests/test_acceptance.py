@@ -69,8 +69,7 @@ def test_criterion_3_achievability_oracle():
     for _ in range(20):
         rho = float(rng.uniform(0.1, 0.9))
         gamma = float(rng.uniform(0.1, 0.9)) * scalar.mutual_information(rho)
-        report = oracle.verify_scalar_achievability(rho, gamma,
-                                                    grid_size=100_000)
+        report = oracle.verify_scalar_achievability(rho, gamma)
         assert report.passed, report
         worst = max(worst, abs(report.oracle_value - report.closed_form_value))
     elapsed = time.perf_counter() - start
@@ -114,7 +113,7 @@ def test_criterion_5_envelope_oracle():
     start = time.perf_counter()
     worst_gap, worst_cells = -math.inf, 0.0
     for rho, lam in ((0.5, 0.3), (0.7, 0.7), (0.9, 0.2)):
-        report = oracle.verify_envelope_grid(rho, lam, grid_points=500)
+        report = oracle.verify_envelope_grid(rho, lam)
         assert report.passed, report
         gap = report.oracle_value - report.closed_form_value
         assert gap >= -1e-3

@@ -316,6 +316,23 @@ class TestCurveCommand:
             if math.isfinite(top * j):
                 assert gamma == top * j / steps
 
+    @pytest.mark.parametrize("gamma_max",
+                             ["0.1", "0.7", "1e300", "1.7976931348623157e308"])
+    def test_last_row_is_gamma_max(self, tmp_path, capsys, gamma_max):
+        # gamma_max * steps / steps can round off the top: 0.1 at 3 steps
+        # gave 0.10000000000000002, 0.7 at 3 steps 0.6999999999999998
+        top = float(gamma_max)
+        out_path = tmp_path / "curve.csv"
+        for steps in range(2, 60):
+            code, _, _ = run_cli(capsys, "curve", "--rho=0.5",
+                                 f"--gamma-max={gamma_max}",
+                                 f"--steps={steps}", f"--output={out_path}")
+            assert code == 0
+            gammas = [float(line.split(",")[0])
+                      for line in out_path.read_text().splitlines()[1:]]
+            assert max(gammas) <= top, steps
+            assert gammas[-1] == top, steps
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -411,7 +428,7 @@ class TestVerifyCommand:
         from gausswyner import oracle
         failing = oracle.CheckReport(
             name="synthetic", oracle_value=1.0, closed_form_value=0.0,
-            tolerance=1e-9, passed=False)
+            tolerance=1e-9, passed=False, details={})
         monkeypatch.setattr(oracle, "run_suite", lambda name: [failing])
         code, out, _ = run_cli(capsys, "verify", "--suite", "scalar")
         assert code == 1
@@ -607,6 +624,13 @@ class TestColdStart:
             "-c", _LOADED_AT_EXIT + "import gausswyner.cli")
         assert "gausswyner.cli" in loaded
         assert not (set(_HEAVY) & loaded) - baseline
+
+    def test_oracle_import_loads_no_dataclasses(self):
+        with_numpy = _loaded_at_exit("-c", _LOADED_AT_EXIT + "import numpy")
+        loaded = _loaded_at_exit(
+            "-c", _LOADED_AT_EXIT + "import gausswyner.oracle")
+        assert "gausswyner.oracle" in loaded
+        assert "dataclasses" not in loaded - with_numpy
 
     def test_package_import_loads_only_errors(self):
         loaded = _loaded_at_exit("-c", _LOADED_AT_EXIT + "import gausswyner")

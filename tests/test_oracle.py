@@ -13,13 +13,13 @@ LN2 = math.log(2.0)
 
 class TestScalarAchievability:
     def test_reference_instance(self):
-        report = oracle.verify_scalar_achievability(0.5, 0.1, grid_size=100_000)
+        report = oracle.verify_scalar_achievability(0.5, 0.1)
         assert report.passed
         gap = report.oracle_value - report.closed_form_value
         assert 0.0 <= gap <= 1e-4
 
     def test_zero_budget_picks_alpha_zero(self):
-        report = oracle.verify_scalar_achievability(0.5, 0.0, grid_size=10_000)
+        report = oracle.verify_scalar_achievability(0.5, 0.0)
         assert report.passed
         assert report.details["alpha_best"] == 0.0
         assert report.oracle_value == pytest.approx(
@@ -27,7 +27,7 @@ class TestScalarAchievability:
 
     def test_saturation_picks_alpha_rho(self):
         cap = scalar.mutual_information(0.5)
-        report = oracle.verify_scalar_achievability(0.5, cap, grid_size=10_000)
+        report = oracle.verify_scalar_achievability(0.5, cap)
         assert report.passed
         assert report.details["alpha_best"] == pytest.approx(0.5, abs=1e-9)
         assert report.oracle_value == pytest.approx(0.0, abs=1e-12)
@@ -36,8 +36,17 @@ class TestScalarAchievability:
         with pytest.raises(ParameterError):
             oracle.verify_scalar_achievability(0.5, 1.0)
 
+    def test_checks_the_library_construction(self, monkeypatch):
+        right = scalar.achievability_params(0.5, 0.1)
+        wrong = right._replace(alpha_noise=1.01 * right.alpha_noise)
+        monkeypatch.setattr(scalar, "achievability_params",
+                            lambda rho, gamma: wrong)
+        report = oracle.verify_scalar_achievability(0.5, 0.1)
+        assert not report.passed
+        assert report.details["alpha_construction"] == wrong.alpha_noise
+
     def test_report_carries_both_values(self):
-        report = oracle.verify_scalar_achievability(0.3, 0.02, grid_size=10_000)
+        report = oracle.verify_scalar_achievability(0.3, 0.02)
         payload = report.as_dict()
         assert {"name", "oracle_value", "closed_form_value", "difference",
                 "tolerance", "passed", "details"} <= payload.keys()
@@ -45,7 +54,7 @@ class TestScalarAchievability:
 
 class TestDualBoundSweep:
     def test_sweep_passes(self):
-        report = oracle.verify_dual_bound_sweep(samples=50, seed=7)
+        report = oracle.verify_dual_bound_sweep()
         assert report.passed
         assert report.oracle_value <= 1e-12
 
@@ -64,8 +73,8 @@ class TestWaterfillGrid:
         assert g2 == pytest.approx(0.1, abs=1e-3)
 
     def test_single_component_is_exact(self):
-        # the simplex is a point; agreement is limited only by the water
-        # level bisection tolerance propagated through the budget slope
+        # the simplex is a point: the grid prices the whole budget on the
+        # one component, and waterfill's exact level differs only by rounding
         report = oracle.verify_waterfill_grid((0.5,), 0.07, step=1e-3)
         assert report.passed
         assert abs(report.oracle_value - report.closed_form_value) <= 1e-10
@@ -197,9 +206,43 @@ class TestErasureConstruction:
 
 class TestSuites:
     def test_every_named_suite_passes(self):
-        for name in ("scalar", "envelope", "graywyner", "discrete"):
+        for name in ("scalar", "waterfill", "envelope", "graywyner",
+                     "discrete"):
             assert all(r.passed for r in oracle.run_suite(name)), name
+
+    def test_all_runs_every_suite_in_order(self):
+        assert tuple(oracle._SUITE_CHECKS) == oracle.SUITES[:-1]
+        expected = [report.as_dict() for name in oracle.SUITES[:-1]
+                    for report in oracle.run_suite(name)]
+        assert [report.as_dict() for report in oracle.run_suite("all")] \
+            == expected
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ParameterError):
             oracle.run_suite("bogus")
+
+
+PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle.verify_scalar_achievability("x", 0.1),
+    lambda: oracle.verify_scalar_achievability(math.nan, 0.1),
+    lambda: oracle.verify_envelope_grid("a", 0.3),
+    lambda: oracle.verify_envelope_grid(0.5, "a"),
+    lambda: oracle.dsbs_construction_check("a"),
+    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step="a"),
+    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=math.nan),
+    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=math.inf),
+    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=0.0),
+    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=-1e-3),
+    lambda: oracle.discrete_mutual_information(PMF_2X2, (0.5,), (1,)),
+    lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), ("1",)),
+    lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), (2,)),
+], ids=["scalar-rho-str", "scalar-rho-nan", "envelope-rho-str",
+        "envelope-lam-str", "dsbs-str", "step-str", "step-nan", "step-inf",
+        "step-zero", "step-negative", "axis-float", "axis-str",
+        "axis-out-of-range"])
+def test_invalid_input_raises_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()

@@ -3,7 +3,9 @@ equality, hashing and copies.
 
 ``Allocation``, ``AchievabilityParams`` and ``GrayWynerPoint`` are
 NamedTuples and ``CanonicalSpectrum`` is a small ``__slots__`` class. Their
-reprs must stay the strings the earlier frozen dataclasses printed.
+reprs must stay the strings the earlier frozen dataclasses printed. The
+input record ``JointGaussianCov`` compares by identity, and its copies keep
+frozen blocks.
 """
 
 import copy
@@ -174,3 +176,34 @@ class TestPackageNamespace:
                      "saturation_breakpoints", "waterfill"):
             assert getattr(gausswyner, name) is getattr(allocation, name)
             assert name in dir(gausswyner)
+
+
+class TestJointGaussianCov:
+    """The covariance record compares and hashes by identity, and every copy
+    is rebuilt with its own frozen blocks."""
+
+    @staticmethod
+    def _cov():
+        from gausswyner.vector import JointGaussianCov
+        return JointGaussianCov([[1.0, 0.0], [0.0, 1.0]],
+                                [[0.9, 0.0], [0.0, 0.2]],
+                                [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_equality_and_hash_are_by_identity(self):
+        cov, other = self._cov(), self._cov()
+        assert cov == cov
+        assert cov != other
+        assert hash(cov) == hash(cov)
+        assert len({cov, other}) == 2
+
+    def test_copy_and_pickle_rebuild_frozen_blocks(self):
+        cov = self._cov()
+        for clone in (copy.copy(cov), copy.deepcopy(cov),
+                      pickle.loads(pickle.dumps(cov))):
+            assert type(clone) is type(cov)
+            for name in ("k_x", "k_xy", "k_y"):
+                block, original = getattr(clone, name), getattr(cov, name)
+                assert block is not original
+                assert block.tolist() == original.tolist()
+                assert not block.flags.writeable
+            assert repr(clone) == repr(cov)
