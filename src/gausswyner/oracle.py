@@ -8,17 +8,24 @@ returns a :class:`CheckReport` carrying the oracle value and the closed-form
 value side by side; :func:`run_suite` runs the published instance table
 used by the command-line ``verify`` subcommand. Grid sizes, sample counts
 and seeds are fixed constants; the simplex ``step`` of
-:func:`verify_waterfill_grid` is the one tuning argument.
+:func:`verify_waterfill_grid` is the one tuning argument, and a simplex of
+more than ``_SIMPLEX_MAX_POINTS`` points is refused.
+
+Each verifier imports what it runs: numpy comes in only with the grid and
+sampling checks (scalar achievability, the dual sweep, the water-filling
+simplex and the envelope grid), and :mod:`.allocation` only with the
+simplex. The Gray-Wyner dual and the finite-alphabet checks run on plain
+floats, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import NamedTuple
 
-import numpy as np
-
-from . import allocation, graywyner, scalar
+from . import graywyner, scalar
 from ._suites import SUITES
 from .errors import ParameterError
 
@@ -40,6 +47,9 @@ _LN2 = math.log(2.0)
 _FOUR_PI2E2 = (2.0 * math.pi * math.e) ** 2
 
 _SCALAR_GRID_SIZE = 100_000   # alpha samples of the achievability sweep
+# water-filling simplex points: the published instances use at most 125,751,
+# three components at gamma = 2, step = 1e-3 about 2.0 million
+_SIMPLEX_MAX_POINTS = 4_000_000
 _DUAL_SAMPLES = 50            # random triples of the weak-duality sweep
 _DUAL_SEED = 7
 _ENVELOPE_POINTS = 500        # q columns, and sig2 samples per column
@@ -72,13 +82,15 @@ class CheckReport(NamedTuple):
 # scalar achievability sweep
 # ---------------------------------------------------------------------------
 
-def _construction_curves(rho: float, alphas: np.ndarray):
+def _construction_curves(rho: float, alphas):
     """Rate and leakage of the shared-component construction.
 
     Both are computed from the explicit conditional covariance of the pair
     given the auxiliary (2x2 determinant arithmetic), not from the library's
     closed forms, so the sweep is an independent code path.
     """
+    import numpy as np
+
     shared = (rho - alphas) / (1.0 - alphas)   # weight of the common part
     var_c = 1.0 - shared                       # Var(X|W) = Var(Y|W)
     cov_c = rho - shared                       # Cov(X, Y | W)
@@ -96,6 +108,8 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     Also confirms that the library's construction
     (:func:`scalar.achievability_params`) meets the budget with equality.
     """
+    import numpy as np
+
     rho = scalar._as_float(rho, "correlation")
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"sweep requires 0 < rho < 1, got {rho!r}")
@@ -139,6 +153,8 @@ def verify_dual_bound_sweep() -> CheckReport:
     must never exceed the closed form; the report's oracle value is the
     worst (largest) gap found.
     """
+    import numpy as np
+
     rng = np.random.default_rng(_DUAL_SEED)
     worst = -math.inf
     worst_at = None
@@ -164,15 +180,19 @@ def verify_dual_bound_sweep() -> CheckReport:
 # water-filling simplex grid
 # ---------------------------------------------------------------------------
 
-def _ci_curve(rho: float, gammas: np.ndarray) -> np.ndarray:
+def _ci_curve(rho: float, gammas):
     """Vectorized scalar closed form; the per-component price the simplex
     search sums up (the quantity under test is the split, not the scalar)."""
+    import numpy as np
+
     s = np.sqrt(np.maximum(-np.expm1(-2.0 * gammas), 0.0))
     return np.maximum(
         scalar.common_information(rho) - (np.log1p(s) + gammas), 0.0)
 
 
-def _simplex_axis(total: float, step: float) -> np.ndarray:
+def _simplex_axis(total: float, step: float):
+    import numpy as np
+
     if total <= 0.0:
         return np.array([0.0])
     return np.linspace(0.0, total, max(2, int(round(total / step)) + 1))
@@ -184,8 +204,14 @@ def verify_waterfill_grid(spectrum, gamma: float,
 
     Supports 1 to 3 components (the grid blows up combinatorially beyond
     that, and the tensorized structure makes larger spectra redundant for
-    verification). Grid agreement is judged at 10x the step size.
+    verification). Grid agreement is judged at 10x the step size. A grid of
+    more than ``_SIMPLEX_MAX_POINTS`` points raises ``ParameterError``
+    before any array is built.
     """
+    import numpy as np
+
+    from . import allocation
+
     rhos = allocation.as_rhos(spectrum)
     gamma = scalar.validate_budget(gamma)
     if not 1 <= len(rhos) <= 3:
@@ -196,6 +222,14 @@ def verify_waterfill_grid(spectrum, gamma: float,
     # an infinite step would make the tolerance, 10 * step, accept anything
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step {step!r} must be positive and finite")
+    # gamma/step + 1 points per axis, a triangle of them for three
+    # components; in floats, so an infinite count compares too
+    per_axis = gamma / step + 1.0
+    points = (1.0, per_axis, per_axis * (per_axis + 1.0) / 2.0)[len(rhos) - 1]
+    if points > _SIMPLEX_MAX_POINTS:
+        raise ParameterError(
+            f"simplex of about {points:.3g} points at step {step!r} exceeds "
+            f"{_SIMPLEX_MAX_POINTS}; use a coarser step")
     alloc = allocation.waterfill(rhos, gamma)
 
     if len(rhos) == 1:
@@ -244,6 +278,8 @@ def verify_waterfill_grid(spectrum, gamma: float,
 
 def _envelope_objective(lam: float, sig2, q):
     """The two-variable envelope objective, written out literally."""
+    import numpy as np
+
     sig4 = np.square(sig2)
     return (0.5 * np.log(_FOUR_PI2E2 * sig4)
             - 0.5 * (1.0 + lam) * np.log(_FOUR_PI2E2 * sig4 * (1.0 - q * q)))
@@ -270,6 +306,8 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
     minimizer lands within two cells of the analytic optimum
     (sig2, q) = ((1-rho)/(1-lam), lam).
     """
+    import numpy as np
+
     rho = scalar._as_float(rho, "correlation")
     lam = scalar._as_float(lam, "envelope multiplier")
     if not 0.0 < lam <= rho < 1.0:
@@ -382,35 +420,62 @@ def verify_graywyner_dual(rho: float, delta: float,
 # exact finite-alphabet constructions
 # ---------------------------------------------------------------------------
 
+def _table_cells(pmf):
+    """Shape and row-major cells of a table given as nested lists or tuples,
+    or as anything with a ``tolist()`` that gives them (a numpy array)."""
+    level = [pmf.tolist() if hasattr(pmf, "tolist") else pmf]
+    shape = []
+    while level and isinstance(level[0], (list, tuple)):
+        size = len(level[0])
+        if any(not isinstance(row, (list, tuple)) or len(row) != size
+               for row in level):
+            raise ParameterError("pmf must be a rectangular table")
+        shape.append(size)
+        level = [cell for row in level for cell in row]
+    return shape, [scalar._as_float(cell, "pmf entry") for cell in level]
+
+
+def _axis_group(axes, ndim: int) -> tuple:
+    try:
+        group = tuple(map(operator.index, axes))
+    except TypeError:
+        raise ParameterError(
+            f"axis groups must be sequences of ints, got {axes!r}") from None
+    if any(not 0 <= ax < ndim for ax in group):
+        raise ParameterError(f"axes must be in range for a {ndim}-d table")
+    return group
+
+
 def discrete_mutual_information(pmf, axes_a, axes_b, given=()) -> float:
     """Exact I(A;B|C) in nats from a joint probability table.
 
-    ``axes_a``, ``axes_b``, and ``given`` are disjoint tuples of axes of
-    ``pmf``. Entropy sums use the convention 0 log 0 = 0; the table must be
-    nonnegative with total mass 1 to within 1e-12.
+    ``pmf`` is a nested list or tuple table, or a numpy array. ``axes_a``,
+    ``axes_b``, and ``given`` are disjoint tuples of axes of ``pmf``.
+    Entropy sums use the convention 0 log 0 = 0 and are exactly rounded
+    (:func:`math.fsum`); the table must be nonnegative with total mass 1 to
+    within 1e-12.
     """
-    pmf = np.asarray(pmf, dtype=float)
-    axes_a, axes_b, given = tuple(axes_a), tuple(axes_b), tuple(given)
+    shape, cells = _table_cells(pmf)
+    axes_a, axes_b, given = (_axis_group(axes, len(shape))
+                             for axes in (axes_a, axes_b, given))
     groups = axes_a + axes_b + given
     if len(set(groups)) != len(groups):
         raise ParameterError("axis groups must be disjoint")
-    if any(not isinstance(ax, (int, np.integer)) or not 0 <= ax < pmf.ndim
-           for ax in groups):
-        raise ParameterError(
-            f"axes must be ints in range for a {pmf.ndim}-d table")
-    if np.any(pmf < -1e-15):
+    if not all(cell >= -1e-15 for cell in cells):
         raise ParameterError("pmf entries must be nonnegative")
-    total = float(pmf.sum())
-    if abs(total - 1.0) > 1e-12:
+    total = math.fsum(cells)
+    if not abs(total - 1.0) <= 1e-12:
         raise ParameterError(f"pmf mass {total!r} is not 1")
+    indices = list(itertools.product(*map(range, shape)))
 
     def entropy(axes):
-        keep = tuple(sorted(axes))
-        drop = tuple(ax for ax in range(pmf.ndim) if ax not in keep)
-        marginal = pmf.sum(axis=drop) if drop else pmf
-        flat = marginal.ravel()
-        positive = flat[flat > 0.0]
-        return float(-(positive * np.log(positive)).sum())
+        masses = (total,)
+        if axes:
+            key, marginal = operator.itemgetter(*axes), {}
+            for index, cell in zip(indices, cells):
+                marginal.setdefault(key(index), []).append(cell)
+            masses = map(math.fsum, marginal.values())
+        return -math.fsum(p * math.log(p) for p in masses if p > 0.0)
 
     return (entropy(axes_a + given) + entropy(axes_b + given)
             - entropy(axes_a + axes_b + given) - entropy(given))
@@ -438,19 +503,15 @@ def dsbs_construction_check(a0: float) -> CheckReport:
                              "(0, 1/2]")
     p = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * a0))
     flip = (1.0 - p, p)
-    pmf = np.zeros((2, 2, 2))
-    for w in range(2):
-        for x in range(2):
-            for y in range(2):
-                pmf[w, x, y] = 0.5 * flip[x ^ w] * flip[y ^ w]
+    pmf = [[[0.5 * flip[x ^ w] * flip[y ^ w] for y in range(2)]
+            for x in range(2)] for w in range(2)]
     conditional = discrete_mutual_information(pmf, (1,), (2,), given=(0,))
     rate_bits = discrete_mutual_information(pmf, (1, 2), (0,)) / _LN2
     formula_bits = (1.0 + _binary_entropy_bits(a0)
                     - 2.0 * _binary_entropy_bits(p))
-    marginal = pmf.sum(axis=0)
-    expected = np.array([[(1.0 - a0) / 2.0, a0 / 2.0],
-                         [a0 / 2.0, (1.0 - a0) / 2.0]])
-    marginal_gap = float(np.abs(marginal - expected).max())
+    expected = ((1.0 - a0) / 2.0, a0 / 2.0)  # by agreement, x == y or not
+    marginal_gap = max(abs(pmf[0][x][y] + pmf[1][x][y] - expected[x != y])
+                       for x in range(2) for y in range(2))
     passed = (abs(conditional) <= 1e-12
               and abs(rate_bits - formula_bits) <= 1e-12
               and marginal_gap <= 1e-12)
@@ -483,10 +544,10 @@ def erasure_construction_check(gamma: float) -> CheckReport:
         raise ParameterError(
             f"budget {gamma!r} exceeds the source entropy ln 2")
     t = min(gamma / _LN2, 1.0)
-    pmf = np.zeros((3, 2, 2))  # w in {0, 1, erasure}
+    pmf = [[[0.0, 0.0], [0.0, 0.0]] for _ in range(3)]  # w in {0, 1, erasure}
     for z in range(2):
-        pmf[z, z, z] = 0.5 * (1.0 - t)
-        pmf[2, z, z] = 0.5 * t
+        pmf[z][z][z] = 0.5 * (1.0 - t)
+        pmf[2][z][z] = 0.5 * t
     conditional = discrete_mutual_information(pmf, (1,), (2,), given=(0,))
     rate = discrete_mutual_information(pmf, (1, 2), (0,))
     expected_rate = _LN2 - gamma

@@ -582,7 +582,8 @@ _LOADED_AT_EXIT = (
 # Modules a command must not load either, because it does not run them.
 _UNUSED = {"scalar": {"gausswyner.graywyner"},
            "curve": {"gausswyner.graywyner", "json"},
-           "graywyner": set()}
+           "graywyner": set(),
+           "verify": set()}
 _ONE_NAME_OF = {module: name
                 for name, module in gausswyner._MODULE_OF.items()}
 
@@ -596,9 +597,10 @@ def _loaded_at_exit(*argv):
 
 
 class TestColdStart:
-    """The closed-form commands import only what they run. The loaded set
-    is compared with that of ``python -c pass`` on the same interpreter, so
-    what ``site`` preloads does not count."""
+    """The closed-form commands and the verify suites that build no grid
+    import only what they run. The loaded set is compared with that of
+    ``python -c pass`` on the same interpreter, so what ``site`` preloads
+    does not count."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -609,6 +611,8 @@ class TestColdStart:
         ["graywyner", "--rho=0.5", "--delta=0.75", "--alpha=0"],
         ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
          "--output={out}"],
+        ["verify", "--suite=graywyner"],
+        ["verify", "--suite=discrete"],
     ])
     def test_closed_form_commands(self, tmp_path, baseline, argv):
         argv = [arg.format(out=tmp_path / "curve.csv") for arg in argv]
@@ -625,12 +629,11 @@ class TestColdStart:
         assert "gausswyner.cli" in loaded
         assert not (set(_HEAVY) & loaded) - baseline
 
-    def test_oracle_import_loads_no_dataclasses(self):
-        with_numpy = _loaded_at_exit("-c", _LOADED_AT_EXIT + "import numpy")
+    def test_oracle_import_loads_no_dataclasses(self, baseline):
         loaded = _loaded_at_exit(
             "-c", _LOADED_AT_EXIT + "import gausswyner.oracle")
         assert "gausswyner.oracle" in loaded
-        assert "dataclasses" not in loaded - with_numpy
+        assert not (set(_HEAVY) & loaded) - baseline
 
     def test_package_import_loads_only_errors(self):
         loaded = _loaded_at_exit("-c", _LOADED_AT_EXIT + "import gausswyner")

@@ -1,6 +1,7 @@
 """The verifiers themselves: spec examples per oracle, plus report shape."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestWaterfillGrid:
         with pytest.raises(ParameterError):
             oracle.verify_waterfill_grid((1.0, 0.5), 0.5)
 
+    @pytest.mark.parametrize("spectrum, gamma", [
+        ((0.9, 0.5, 0.2), 1000.0),  # ~5e11 points, hours of row loop
+        ((0.9, 0.2), 1e6),          # one 8 GB linspace
+    ])
+    def test_rejects_huge_grid_before_building_it(self, spectrum, gamma):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="points"):
+            oracle.verify_waterfill_grid(spectrum, gamma)
+        assert time.perf_counter() - start < 0.1
+
 
 class TestEnvelopeGrid:
     def test_interior_instance(self):
@@ -170,6 +181,41 @@ class TestDiscreteMutualInformation:
         with pytest.raises(ParameterError):
             oracle.discrete_mutual_information(pmf, (0,), (0,))
 
+    @pytest.mark.parametrize("axes_a, axes_b, given", [
+        ((0,), (1,), ()), ((0,), (1,), (2,)), ((0, 2), (1,), ()),
+        ((2,), (0,), (1,)), ((1, 0), (2,), ()),
+    ])
+    def test_matches_numpy_marginals(self, axes_a, axes_b, given):
+        table = np.random.default_rng(8).uniform(size=(3, 4, 2))
+        table /= table.sum()
+
+        def entropy(axes):
+            drop = tuple(ax for ax in range(3) if ax not in axes)
+            marginal = table.sum(axis=drop).ravel()
+            return -float((marginal * np.log(marginal)).sum())
+
+        expected = (entropy(axes_a + given) + entropy(axes_b + given)
+                    - entropy(axes_a + axes_b + given) - entropy(given))
+        value = oracle.discrete_mutual_information(table, axes_a, axes_b,
+                                                   given=given)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_array_lists_and_tuples_agree(self):
+        a0 = 0.25
+        marginal = np.array([[(1 - a0) / 2, a0 / 2], [a0 / 2, (1 - a0) / 2]])
+        table = np.random.default_rng(8).uniform(size=(3, 4, 2))
+        table /= table.sum()
+
+        def as_tuples(rows):
+            return tuple(map(as_tuples, rows)) if isinstance(rows, list) \
+                else rows
+
+        for pmf, axes in ((marginal, ((0,), (1,))),
+                          (table, ((0,), (1,), (2,)))):
+            values = {oracle.discrete_mutual_information(form, *axes)
+                      for form in (pmf, pmf.tolist(), as_tuples(pmf.tolist()))}
+            assert len(values) == 1
+
 
 class TestDsbsConstruction:
     @pytest.mark.parametrize("a0", [0.1, 0.25, 0.4])
@@ -239,10 +285,17 @@ PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
     lambda: oracle.discrete_mutual_information(PMF_2X2, (0.5,), (1,)),
     lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), ("1",)),
     lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), (2,)),
+    lambda: oracle.discrete_mutual_information(PMF_2X2, 0, 1),
+    lambda: oracle.discrete_mutual_information("a", (0,), (1,)),
+    lambda: oracle.discrete_mutual_information([[0.5, 0.0], [0.5]], (0,),
+                                               (1,)),
+    lambda: oracle.discrete_mutual_information([[0.5, math.nan], [0.0, 0.5]],
+                                               (0,), (1,)),
 ], ids=["scalar-rho-str", "scalar-rho-nan", "envelope-rho-str",
         "envelope-lam-str", "dsbs-str", "step-str", "step-nan", "step-inf",
         "step-zero", "step-negative", "axis-float", "axis-str",
-        "axis-out-of-range"])
+        "axis-out-of-range", "axis-bare-int", "pmf-str", "pmf-ragged",
+        "pmf-nan"])
 def test_invalid_input_raises_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
