@@ -12,8 +12,10 @@ are active. :func:`waterfill` solves it that way;
 :func:`saturation_breakpoints` lists the budgets at which components drop
 out.
 
-Each function checks its spectrum once, in :func:`as_rhos`, and then calls
-the unchecked scalar kernels.
+Each function checks its spectrum once, in :func:`as_rhos`, and then prices
+every component at once through the unchecked sequence kernels of
+:mod:`.scalar`: one list comprehension per closed form, with no Python call
+per component.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add, ge, mul, sub
+from operator import add, ge, mul
 from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
@@ -29,8 +31,9 @@ from .scalar import (
     RHO_CLAMP_BAND,
     _as_float,
     _common_information,
-    _mutual_information,
-    _wyner_ci,
+    _common_informations,
+    _mutual_informations,
+    _wyner_cis,
     level_from_budget,
     validate_budget,
 )
@@ -170,7 +173,7 @@ def waterfill(spectrum, gamma: float) -> Allocation:
         raise ParameterError("waterfill requires a finite budget")
     if not rhos:
         return Allocation((), 0.0, 0.0, (), gamma)
-    caps = tuple(map(_mutual_information, rhos))
+    caps = tuple(_mutual_informations(rhos))
     total_cap = sum(caps)
     if gamma >= total_cap:
         return Allocation(caps, _common_information(rhos[0]), 0.0,
@@ -180,13 +183,15 @@ def waterfill(spectrum, gamma: float) -> Allocation:
         if spend < cap:
             break
     beta = level_from_budget(spend)
-    gammas = tuple(map(min, repeat(spend), caps))
+    # min(spend, cap) without a call per component: min returns its first
+    # argument unless the second is smaller
+    gammas = tuple([cap if cap < spend else spend for cap in caps])
     saturated = tuple(map(ge, repeat(spend), caps))
     # Sum of max(C(rho_i) - beta, 0.0) as a left fold in component order.
     # A component with C(rho_i) <= beta adds 0.0 to a nonnegative total,
     # which changes no bit, so the fold skips it.
-    active = filter(beta.__lt__, map(_common_information, rhos))
-    total = reduce(add, map(sub, active, repeat(beta)), 0.0)
+    total = reduce(add, [value - beta for value in _common_informations(rhos)
+                         if value > beta], 0.0)
     return Allocation(gammas, beta, total, saturated, 0.0)
 
 
@@ -207,7 +212,7 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     when the correlations are distinct; equal correlations saturate together.
     """
     counts, caps, tails = _weakest_first(
-        tuple(map(_mutual_information, as_rhos(spectrum))))
+        _mutual_informations(as_rhos(spectrum)))
     return tuple(map(add, map(mul, counts, caps), tails))
 
 
@@ -221,4 +226,14 @@ def evaluate_allocation(spectrum, gammas: Sequence[float]) -> float:
     if len(gammas) != len(rhos):
         raise ParameterError(
             f"got {len(gammas)} budgets for {len(rhos)} components")
-    return sum(map(_wyner_ci, rhos, map(validate_budget, gammas)))
+    # Whole-sequence test, as in as_rhos: NaN-free floats >= 0 pass. Anything
+    # else is checked again one budget at a time, which raises the first
+    # offending budget's error.
+    try:
+        budgets = list(map(float, gammas))
+    except (TypeError, ValueError, OverflowError):
+        budgets = None
+    if (budgets is None or math.isnan(sum(budgets))
+            or min(budgets, default=0.0) < 0.0):
+        budgets = list(map(validate_budget, gammas))
+    return sum(_wyner_cis(rhos, budgets))

@@ -79,23 +79,56 @@ def validate_budget(gamma: float) -> float:
     return 0.0 + gamma
 
 
-def _common_information(r: float) -> float:
-    """:func:`common_information` at r = |rho| in [0, 1], unchecked: the
-    caller has validated r."""
-    if r == 1.0:
-        return math.inf
+# The sequence kernels below hold the closed forms, one list comprehension
+# each, for whole spectra of unchecked arguments: the caller has validated
+# every r = |rho| in [0, 1] and every budget. The single-value kernels and
+# the public functions are calls into them, so each formula is written once.
+
+def _common_informations(rs) -> list[float]:
+    """:func:`common_information` at each r in ``rs``; ``inf`` at r = 1,
+    where log1p(-r) would raise."""
     # 0.0 + x: at r = -0.0 the result is +0.0 as at r = 0.0 (as_rhos and
     # the public wrappers already pass +0.0; this guards any other caller)
-    return 0.0 + 0.5 * (math.log1p(r) - math.log1p(-r))
+    return [0.0 + 0.5 * (math.log1p(r) - math.log1p(-r)) if r < 1.0
+            else math.inf for r in rs]
+
+
+def _mutual_informations(rs) -> list[float]:
+    """:func:`mutual_information` at each r in ``rs``; ``inf`` at r = 1."""
+    # 0.0 - x rather than -x: at rho = 0 (and wherever the logs cancel) the
+    # result is +0.0, not -0.0
+    return [0.0 - 0.5 * (math.log1p(r) + math.log1p(-r)) if r < 1.0
+            else math.inf for r in rs]
+
+
+def _levels(xs) -> list[float]:
+    """:func:`level_from_budget` at each checked budget x >= 0 in ``xs``."""
+    # With s = sqrt(1 - e^{-2x}), the level is (1/2)ln((1+s)/(1-s)). Rewrite
+    # via 1 - s = e^{-2x}/(1+s) so both tiny and huge x keep full relative
+    # accuracy (expm1 avoids the 1 - e^{-2x} cancellation near 0). 0.0 - y
+    # rather than -y: at x = -0.0 the level is +0.0, as at x = 0.0. At
+    # x = inf, expm1 gives -1 exactly, so the level is inf with no branch.
+    return [math.log1p(math.sqrt(0.0 - math.expm1(-2.0 * x))) + x for x in xs]
+
+
+def _wyner_cis(rs, gammas) -> list[float]:
+    """:func:`wyner_ci_scalar` at each pair of r in ``rs`` and checked budget
+    in ``gammas``: C(r) - level(gamma), clamped at zero."""
+    # c > l rather than max(c - l, 0.0): the two agree wherever c - l is a
+    # number, and at c = l = inf (r = 1 with an infinite budget), where it
+    # is NaN, the comparison gives the value 0.0
+    return [c - l if c > l else 0.0
+            for c, l in zip(_common_informations(rs), _levels(gammas))]
+
+
+def _common_information(r: float) -> float:
+    """:func:`common_information` at r = |rho| in [0, 1], unchecked."""
+    return _common_informations((r,))[0]
 
 
 def _mutual_information(r: float) -> float:
     """:func:`mutual_information` at r = |rho| in [0, 1], unchecked."""
-    if r == 1.0:
-        return math.inf
-    # 0.0 - x rather than -x: at rho = 0 (and wherever the logs cancel) the
-    # result is +0.0, not -0.0
-    return 0.0 - 0.5 * (math.log1p(r) + math.log1p(-r))
+    return _mutual_informations((r,))[0]
 
 
 def common_information(rho: float) -> float:
@@ -122,14 +155,7 @@ def level_from_budget(x: float) -> float:
 
 def _level_from_budget(x: float) -> float:
     """:func:`level_from_budget` at a checked budget x >= 0, unchecked."""
-    if math.isinf(x):
-        return math.inf
-    # With s = sqrt(1 - e^{-2x}), the level is (1/2)ln((1+s)/(1-s)). Rewrite
-    # via 1 - s = e^{-2x}/(1+s) so both tiny and huge x keep full relative
-    # accuracy (expm1 avoids the 1 - e^{-2x} cancellation near 0). 0.0 - y
-    # rather than -y: at x = -0.0 the level is +0.0, as at x = 0.0.
-    s = math.sqrt(0.0 - math.expm1(-2.0 * x))
-    return math.log1p(s) + x
+    return _levels((x,))[0]
 
 
 def budget_from_level(beta: float) -> float:
@@ -166,10 +192,7 @@ def wyner_ci_scalar(rho: float, gamma: float) -> float:
 def _wyner_ci(r: float, gamma: float) -> float:
     """:func:`wyner_ci_scalar` at r = |rho| in [0, 1] and a checked budget,
     unchecked."""
-    value = _common_information(r)
-    if math.isinf(value):
-        return 0.0 if math.isinf(gamma) else math.inf
-    return max(value - _level_from_budget(gamma), 0.0)
+    return _wyner_cis((r,), (gamma,))[0]
 
 
 class AchievabilityParams(NamedTuple):

@@ -311,6 +311,24 @@ class TestBreakpoints:
 # signed zeros included) and errors by type and message.
 # ---------------------------------------------------------------------------
 
+def _ref_common_information(r):
+    if r == 1.0:
+        return math.inf
+    return 0.0 + 0.5 * (math.log1p(r) - math.log1p(-r))
+
+
+def _ref_mutual_information(r):
+    if r == 1.0:
+        return math.inf
+    return 0.0 - 0.5 * (math.log1p(r) + math.log1p(-r))
+
+
+def _ref_level(x):
+    if math.isinf(x):
+        return math.inf
+    return math.log1p(math.sqrt(0.0 - math.expm1(-2.0 * x))) + x
+
+
 def _ref_float(value, name):
     try:
         return float(value)
@@ -351,8 +369,8 @@ def _ref_waterfill(raw, gamma):
         raise ParameterError("waterfill requires a finite budget")
     if not rhos:
         return allocation.Allocation((), 0.0, 0.0, (), gamma)
-    caps = tuple(scalar.mutual_information(r) for r in rhos)
-    values = tuple(scalar.common_information(r) for r in rhos)
+    caps = tuple(_ref_mutual_information(r) for r in rhos)
+    values = tuple(_ref_common_information(r) for r in rhos)
     total_cap = sum(caps)
     if gamma >= total_cap:
         return allocation.Allocation(
@@ -363,7 +381,7 @@ def _ref_waterfill(raw, gamma):
         if spend < caps[k - 1]:
             break
         tail += caps[k - 1]
-    beta = scalar.level_from_budget(spend)
+    beta = _ref_level(_ref_budget(spend))
     gammas = tuple(min(spend, cap) for cap in caps)
     saturated = tuple(spend >= cap for cap in caps)
     total = 0.0
@@ -373,7 +391,7 @@ def _ref_waterfill(raw, gamma):
 
 
 def _ref_breakpoints(raw):
-    caps = [scalar.mutual_information(r) for r in _ref_as_rhos(raw)]
+    caps = [_ref_mutual_information(r) for r in _ref_as_rhos(raw)]
     out, tail = [], 0.0
     for k in range(len(caps), 0, -1):
         out.append(k * caps[k - 1] + tail)
@@ -383,10 +401,10 @@ def _ref_breakpoints(raw):
 
 def _ref_wyner_ci(r, gamma):
     gamma = _ref_budget(gamma)
-    value = scalar.common_information(r)
+    value = _ref_common_information(r)
     if math.isinf(value):
         return 0.0 if math.isinf(gamma) else math.inf
-    return max(value - scalar.level_from_budget(gamma), 0.0)
+    return max(value - _ref_level(gamma), 0.0)
 
 
 def _ref_evaluate(raw, gammas):
@@ -459,6 +477,57 @@ class TestAgainstReference:
     def test_matches_the_reference_at_signed_zeros(self, spectrum, gamma):
         assert _outcome(waterfill, spectrum, gamma) == \
             _outcome(_ref_waterfill, spectrum, gamma)
+
+    @pytest.mark.parametrize("spectrum", [
+        (1.0 - 1e-13, 1.0, 0.5),    # a 1.0 after a smaller entry: the
+                                    # 1e-12 tolerance lets it through
+        (1.0, 1.0, 1.0, 0.5, 0.0),  # a leading run of ones
+        (5e-324,),
+        (1.0 - 2.0 ** -53,),
+        (1.0 - 2.0 ** -53, 0.5, 5e-324),
+    ])
+    @pytest.mark.parametrize("budget", [0.0, -0.0, 0.1, 5e-324, 1e300,
+                                        math.inf])
+    def test_matches_the_reference_at_edges(self, spectrum, budget):
+        gammas = [budget] * len(spectrum)
+        assert _outcome(evaluate_allocation, spectrum, gammas)[0] == "ok"
+        for lib, ref, args in [
+                (waterfill, _ref_waterfill, (spectrum, budget)),
+                (saturation_breakpoints, _ref_breakpoints, (spectrum,)),
+                (evaluate_allocation, _ref_evaluate, (spectrum, gammas))]:
+            assert _outcome(lib, *args) == _outcome(ref, *args), lib.__name__
+
+    @settings(max_examples=200, deadline=None)
+    @given(rs=st.lists(st.floats(0.0, 1.0) | st.sampled_from(
+               [0.0, 5e-324, 1e-310, 1e-17, 1.0 - 2.0 ** -53, 1.0])),
+           xs=st.lists(st.floats(0.0, 1e300) | st.sampled_from(
+               [0.0, -0.0, 5e-324, 1e-300, math.inf])))
+    def test_sequence_kernels_match_the_per_element_formulas(self, rs, xs):
+        xs = xs[:len(rs)]
+        assert repr(scalar._common_informations(rs)) == repr(
+            [_ref_common_information(r) for r in rs])
+        assert repr(scalar._mutual_informations(rs)) == repr(
+            [_ref_mutual_information(r) for r in rs])
+        assert repr(scalar._levels(xs)) == repr([_ref_level(x) for x in xs])
+        assert repr(scalar._wyner_cis(rs, xs)) == repr(
+            [_ref_wyner_ci(r, x) for r, x in zip(rs, xs)])
+
+    @pytest.mark.parametrize("gammas", [
+        [0.1] * 299 + [-1.0],
+        [0.1] * 299 + ["x"],
+        [0.1] * 299 + [10**400],
+        [0.1] * 299 + [math.nan],
+        [0.1] * 150 + [-2.0] + [0.1] * 148 + [-1.0],  # the first one counts
+    ], ids=["negative", "str", "int-1e400", "nan", "first-of-two"])
+    def test_long_split_names_its_first_bad_budget(self, gammas):
+        spectrum = [0.5] * 300
+        bad = next(g for g in gammas if g != 0.1)
+        with pytest.raises(ParameterError) as expected:
+            scalar.validate_budget(bad)
+        assert _outcome(evaluate_allocation, spectrum, gammas) == \
+            (ParameterError, str(expected.value))
+        assert _outcome(_ref_evaluate, spectrum, gammas) == \
+            (ParameterError, str(expected.value))
 
     @settings(max_examples=50, deadline=None)
     @given(rhos=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0]),

@@ -649,6 +649,27 @@ class TestColdStart:
         assert f"gausswyner.{module}" in loaded
         assert ("numpy" in loaded - baseline) == (module == "vector")
 
+    def test_allocation_runs_without_numpy(self, baseline):
+        # numpy's vectorized log1p, expm1 and log differ from the math
+        # module's in the last bit on some inputs, so a numpy path could
+        # not keep the scalar kernels' bits
+        loaded = _loaded_at_exit(
+            "-c", _LOADED_AT_EXIT + "from gausswyner import allocation\n"
+            "alloc = allocation.waterfill((0.9, 0.5, 0.0), 0.1)\n"
+            "allocation.saturation_breakpoints((0.9, 0.5, 0.0))\n"
+            "allocation.evaluate_allocation((0.9, 0.5, 0.0), alloc.gammas)\n")
+        assert "gausswyner.allocation" in loaded
+        assert not ({"numpy", "dataclasses", "inspect"} & loaded) - baseline
+
+    @pytest.mark.parametrize("suite", ["scalar", "waterfill", "envelope"])
+    def test_grid_suites_do_not_load_numpy_ma(self, baseline, suite):
+        code = (_LOADED_AT_EXIT + "import runpy\n"
+                "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
+                "runpy.run_module('gausswyner', run_name='__main__')\n")
+        loaded = _loaded_at_exit("-c", code, "verify", f"--suite={suite}")
+        assert "numpy" in loaded
+        assert "numpy.ma" not in loaded - baseline
+
     def test_all_is_the_table_plus_version_and_errors(self):
         assert len(set(gausswyner.__all__)) == len(gausswyner.__all__)
         assert set(gausswyner.__all__) == gausswyner._MODULE_OF.keys() | {

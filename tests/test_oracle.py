@@ -127,6 +127,19 @@ class TestEnvelopeGrid:
         with pytest.raises(ParameterError):
             oracle.verify_envelope_grid(0.3, 0.5)
 
+    @pytest.mark.parametrize("rho, lam", [
+        (0.5, 1e-15), (0.5, 1e-300), (0.999999999, 1e-300)])
+    def test_rejects_lambda_too_small_for_the_grid(self, rho, lam):
+        # the grid is flat along sig2 there and cannot place the minimizer,
+        # so a valid input would read as a failed check
+        with pytest.raises(ParameterError, match="lam"):
+            oracle.verify_envelope_grid(rho, lam)
+
+    @pytest.mark.parametrize("rho", [1e-11, 0.1, 0.5, 0.9, 0.999999999])
+    def test_smallest_accepted_lambda_passes(self, rho):
+        report = oracle.verify_envelope_grid(rho, oracle._ENVELOPE_MIN_LAM)
+        assert report.passed, report
+
 
 class TestGrayWynerDual:
     def test_blend_instance(self):
