@@ -324,8 +324,13 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
     n_left = min(max(2, int(round((rho + 1.0) / 2.0 * _ENVELOPE_POINTS))),
                  _ENVELOPE_POINTS - 1)
     n_right = _ENVELOPE_POINTS - n_left + 1  # the kink node is shared
+    # The right half ends strictly between rho and 1: at 1 - edge where
+    # that lies above rho, else halfway to 1. Only rho = 1 - 2**-53 has no
+    # float between it and 1; there it ends on the kink.
+    right_end = (1.0 - edge if rho < 1.0 - edge
+                 else min((1.0 + rho) / 2.0, math.nextafter(1.0, 0.0)))
     left = np.linspace(-1.0 + edge, rho, n_left)   # ends on the kink
-    right = np.linspace(rho, 1.0 - edge, n_right)  # starts on it
+    right = np.linspace(rho, right_end, n_right)   # starts on it
     q = np.concatenate([left, right[1:]])
     cap = np.where(q <= rho, (1.0 - rho) / (1.0 - q), (1.0 + rho) / (1.0 + q))
     cap = np.minimum(cap, 1.0)

@@ -2,14 +2,17 @@
 matrix square roots, canonical correlations, and the vector extension of the
 scalar common-information formula.
 
-The pipeline is: eigendecompose each diagonal block once (after checking it
-is finite, symmetric and PSD), whiten the cross-covariance in the two
-eigenbases, read the canonical correlations off an SVD of the whitened block,
-then water-fill the budget across the resulting independent scalar pairs.
-The stacked covariance is never decomposed: it is PSD exactly when both
-blocks are, the cross-covariance lies in their ranges, and no canonical
-correlation exceeds 1 (Bjorck & Golub 1973), and the whitening and the SVD
-already show all three.
+The pipeline is: factor each diagonal block once (after checking it is
+finite and symmetric), whiten the cross-covariance on both sides, read the
+canonical correlations off an SVD of the whitened block, then water-fill the
+budget across the resulting independent scalar pairs. A block that is
+certified full rank is whitened with the inverse of its Cholesky factor;
+any other block is eigendecomposed, checked for PSD, and whitened in its
+eigenbasis with its numerical null space set apart. The stacked covariance
+is never decomposed: it is PSD exactly when both blocks are, the
+cross-covariance lies in their ranges, and no canonical correlation exceeds
+1 (Bjorck & Golub 1973), and the whitening and the SVD already show all
+three.
 """
 
 from __future__ import annotations
@@ -127,42 +130,56 @@ class JointGaussianCov:
         return cls(joint[:d, :d], joint[:d, d:], joint[d:, d:])
 
 
-class _Eigen(NamedTuple):
-    """One validated diagonal block in its eigenbasis.
+class _Block(NamedTuple):
+    """One validated diagonal block, ready to whiten a cross-covariance.
 
-    The block is decomposed after division by ``root**2``, a power of two,
-    so ``sym`` and ``whiten`` are in those scaled units.
+    The block is factored after division by ``root**2``, a power of two, so
+    ``sym``, ``basis`` and ``whiten`` are in those scaled units. A
+    cross-covariance M is whitened from this side as
+    ``whiten[:, None] * (basis.T @ M)``. On the eigenvalue route ``basis``
+    holds the eigenvectors, eigenvalues ascending, and ``whiten`` holds
+    1/sqrt(eigenvalue), dropped ones at the floor. On the Cholesky route
+    ``basis`` is L^-T and ``whiten`` is None.
     """
 
     sym: np.ndarray      # exactly symmetric copy, divided by root**2
-    vectors: np.ndarray  # eigenvectors, eigenvalues ascending
-    whiten: np.ndarray   # 1/sqrt(eigenvalue); dropped ones use the floor
+    basis: np.ndarray
+    whiten: np.ndarray | None
     dropped: int         # leading eigenvalues at most RANK_RTOL * max
     root: float
 
 
-def _eigen(name: str, block: np.ndarray) -> _Eigen:
-    """Check one square block for finiteness, symmetry and PSD, and
-    eigendecompose it once.
-
-    Eigenvalues at most ``RANK_RTOL`` times the largest are the numerical
-    null space. Their whitening weight uses ``PSD_RTOL`` times the largest
-    eigenvalue in their place, so a cross-covariance that leaves the block's
-    range lifts the norm of the whitened cross-covariance above 1.
-    """
+def _symmetric(name: str, block: np.ndarray) -> tuple[np.ndarray, float,
+                                                        float]:
+    """Check one square block for finiteness and symmetry. Return its
+    exactly symmetric part divided by ``root**2``, the Frobenius norm of
+    the divided block, and ``root``."""
     if not np.all(np.isfinite(block)):
         raise CovarianceError(f"{name} contains non-finite entries")
     # Dividing by a power of two near the largest entry is exact and keeps
     # every norm and eigenvalue below in range, whatever the units.
     root = 2.0 ** (math.frexp(float(np.max(np.abs(block))))[1] // 2)
-    scaled = block / root / root
+    scaled = block / root
+    scaled /= root
     asym = float(np.linalg.norm(scaled - scaled.T))
     norm = float(np.linalg.norm(scaled))
     if asym > SYMMETRY_RTOL * norm:
         raise CovarianceError(
             f"{name} is not symmetric: ||K - K^T||_F / ||K||_F = "
             f"{asym / norm:.3e} exceeds {SYMMETRY_RTOL:.0e}")
-    sym = 0.5 * (scaled + scaled.T)
+    sym = scaled + scaled.T
+    sym *= 0.5
+    return sym, norm, root
+
+
+def _eigen(name: str, sym: np.ndarray, root: float) -> _Block:
+    """Check a symmetric block for PSD and eigendecompose it.
+
+    Eigenvalues at most ``RANK_RTOL`` times the largest are the numerical
+    null space. Their whitening weight uses ``PSD_RTOL`` times the largest
+    eigenvalue in their place, so a cross-covariance that leaves the block's
+    range lifts the norm of the whitened cross-covariance above 1.
+    """
     values, vectors = np.linalg.eigh(sym)
     lo, hi = float(values[0]), float(values[-1])
     if lo < -PSD_RTOL * max(hi, 0.0):
@@ -173,39 +190,123 @@ def _eigen(name: str, block: np.ndarray) -> _Eigen:
     # an all-zero block has hi = 0; its floor stays positive so the weights
     # are finite, and any cross-covariance above ~1e-154 is rejected
     values[:dropped] = max(PSD_RTOL * hi, sys.float_info.min)
-    return _Eigen(sym, vectors, 1.0 / np.sqrt(values), dropped, root)
+    return _Block(sym, vectors, 1.0 / np.sqrt(values), dropped, root)
 
 
-def _canonical(cov: JointGaussianCov) -> tuple[_Eigen, _Eigen, np.ndarray]:
-    """Validate ``cov`` and return its two decomposed blocks with the
+# Lower-triangular blocks up to this size are inverted by np.linalg.inv;
+# larger ones by halves, through matrix products.
+_TRIL_LEAF = 32
+
+
+def _tril_inv(low: np.ndarray) -> None:
+    """Overwrite a lower-triangular matrix with its inverse.
+
+    numpy has no triangular solve, and a general inverse costs nearly as
+    much as an eigendecomposition; by halves, the work is matrix products:
+    inv([[A, 0], [B, C]]) = [[inv(A), 0], [-inv(C) B inv(A), inv(C)]].
+    """
+    n = low.shape[0]
+    if n <= _TRIL_LEAF:
+        low[...] = np.linalg.inv(low)
+        return
+    h = n // 2
+    _tril_inv(low[:h, :h])
+    _tril_inv(low[h:, h:])
+    np.matmul(low[h:, h:] @ low[h:, :h], low[:h, :h], out=low[h:, :h])
+    np.negative(low[h:, :h], out=low[h:, :h])
+
+
+def _cholesky(sym: np.ndarray, norm: float, root: float) -> _Block | None:
+    """Whiten a block with its Cholesky factor, when that provably drops no
+    direction; else return None.
+
+    With sym = L L^T, every eigenvalue lies in [1 / ||L^-1||_F^2, ||K||_F],
+    ``norm`` being ||K||_F. So once 1 / ||L^-1||_F^2 exceeds four times
+    RANK_RTOL * ||K||_F, the eigenvalue route would find the least
+    eigenvalue above RANK_RTOL times the largest: it would drop nothing,
+    raise nothing, and floor no weight. The factor of 4 absorbs the rounding
+    of both routes: each factorization is exact for a block within a few
+    d * eps * ||K|| of sym, and 3 * RANK_RTOL * ||K|| exceeds that for any
+    d below 10^5. A pivot L_ii^2 is at least the least eigenvalue, so a
+    small one fails the test before L is inverted.
+    """
+    try:
+        low = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return None
+    cutoff = 4.0 * RANK_RTOL * norm
+    if float(np.min(np.diagonal(low))) ** 2 <= cutoff:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        _tril_inv(low)
+        inv_norm = float(np.linalg.norm(low))
+    # written so that an inf or nan norm fails too
+    if not inv_norm * inv_norm * cutoff < 1.0:
+        return None
+    return _Block(sym, low.T, None, 0, root)
+
+
+def _block(name: str, block: np.ndarray) -> _Block:
+    """Check one square block for finiteness, symmetry and PSD, and factor
+    it once: by Cholesky when it is certified full rank, else by ``eigh``."""
+    sym, norm, root = _symmetric(name, block)
+    return _cholesky(sym, norm, root) or _eigen(name, sym, root)
+
+
+def _range_bound(w: np.ndarray, dx: int, dy: int, top: float) -> float:
+    """An upper bound on ||W||_2 from ``top``, the norm of its kept block.
+
+    Split W = [[P, Q], [R, K]] with K = W[dx:, dy:]. Stacking rows or
+    columns adds squared norms at most, so ||W||^2 <= ||[P Q]||^2 +
+    ||R||^2 + ||K||^2, and each of the first two is at most its Frobenius
+    norm squared. Where the bound is tight, ``top`` and the norm that
+    ``np.linalg.norm(w, 2)`` computes differ by rounding, so the bound is
+    raised by a few units of it.
+    """
+    slack = 1.0 + 4.0 * (w.shape[0] + w.shape[1]) * sys.float_info.epsilon
+    return slack * math.hypot(top, float(np.linalg.norm(w[:dx])),
+                              float(np.linalg.norm(w[dx:, :dy])))
+
+
+def _canonical(cov: JointGaussianCov) -> tuple[_Block, _Block, np.ndarray]:
+    """Validate ``cov`` and return its two factored blocks with the
     descending singular values of the whitened cross-covariance.
 
-    C = U_x^T K_xy U_y in the two eigenbases, whitened on both sides. The
-    kept rows and columns give the canonical correlations. 1 - ||W|| is the
-    least eigenvalue of the whitened stacked covariance [[I, W], [W^T, I]],
-    where W is the whole whitened block, its dropped rows and columns
-    whitened with the floor. Without dropped directions ||W|| is the
-    largest canonical correlation; with them it is the norm of the whole
-    block, since the kept block and the dropped rows and columns can each
-    have norm at most 1 while W does not.
+    W = L_x^-1 K_xy L_y^-T on the Cholesky route, or U_x^T K_xy U_y in the
+    eigenbasis, scaled by 1/sqrt(eigenvalue) on each side; a pair may take
+    one route on each side. The kept rows and columns give the canonical
+    correlations. 1 - ||W|| is the least eigenvalue of the whitened stacked
+    covariance [[I, W], [W^T, I]], where W is the whole whitened block, its
+    dropped rows and columns whitened with the floor. Without dropped
+    directions ||W|| is the largest canonical correlation; with them it is
+    the norm of the whole block, since the kept block and the dropped rows
+    and columns can each have norm at most 1 while W does not. That norm
+    takes a second SVD only when the bound of :func:`_range_bound` exceeds
+    1 + PSD_RTOL.
     """
     if not isinstance(cov, JointGaussianCov):
         raise ParameterError(
             f"expected a JointGaussianCov, got {type(cov).__name__}")
     if not np.all(np.isfinite(cov.k_xy)):
         raise CovarianceError("k_xy contains non-finite entries")
-    x = _eigen("k_x", cov.k_x)
-    y = _eigen("k_y", cov.k_y)
+    x = _block("k_x", cov.k_x)
+    y = _block("k_y", cov.k_y)
     # only a cross-covariance far outside the blocks' ranges overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        c = x.vectors.T @ (cov.k_xy / x.root / y.root) @ y.vectors
-        w = c * x.whiten[:, None] * y.whiten
+        w = x.basis.T @ (cov.k_xy / x.root / y.root) @ y.basis
+        if x.whiten is not None:
+            w *= x.whiten[:, None]
+        if y.whiten is not None:
+            w *= y.whiten
     svals = np.zeros(0)
     worst = np.inf
     if np.all(np.isfinite(w)):
         svals = np.linalg.svd(w[x.dropped:, y.dropped:], compute_uv=False)
-        worst = float(np.linalg.norm(w, 2) if x.dropped or y.dropped
-                      else svals[0])
+        worst = float(svals[0]) if svals.size else 0.0
+        if x.dropped or y.dropped:
+            worst = _range_bound(w, x.dropped, y.dropped, worst)
+            if worst > 1.0 + PSD_RTOL:
+                worst = float(np.linalg.norm(w, 2))
     if worst > 1.0 + PSD_RTOL:
         raise CovarianceError(
             "stacked covariance is not positive semi-definite: min "
@@ -217,7 +318,7 @@ def validate_cov(cov: JointGaussianCov) -> JointGaussianCov:
     """Check finiteness, block symmetry, and joint positive
     semi-definiteness; return a copy with exactly symmetric diagonal blocks.
 
-    Each block is checked and eigendecomposed once, and joint PSD is read
+    Each block is checked and factored once, and joint PSD is read
     off the whitened cross-covariance (see :func:`canonical_correlations`),
     so the decision does not depend on the units of X or of Y. Raises
     :class:`CovarianceError` naming the violated invariant, quoting the
@@ -243,23 +344,29 @@ def pinv_sqrt(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ParameterError(
             f"matrix must be square and non-empty, got shape {m.shape}")
-    block = _eigen("matrix", m)
-    inv_roots = block.whiten / block.root
+    sym, _, root = _symmetric("matrix", m)
+    block = _eigen("matrix", sym, root)
+    inv_roots = block.whiten / root
     inv_roots[:block.dropped] = 0.0
-    return (block.vectors * inv_roots) @ block.vectors.T
+    return (block.basis * inv_roots) @ block.basis.T
 
 
 def canonical_correlations(cov: JointGaussianCov) -> CanonicalSpectrum:
     """Singular values of the whitened cross-covariance, padded with zeros.
 
-    Each block is eigendecomposed once; the cross-covariance is rotated into
-    both eigenbases, whitened, and its kept block (directions above
+    Each block is factored once. A block whose Cholesky factor L certifies
+    that no eigenvalue is at most ``RANK_RTOL`` times the largest whitens
+    with L^-1; any other block is eigendecomposed, and the cross-covariance
+    is rotated into its eigenbasis and scaled by 1/sqrt(eigenvalue). The
+    kept block of the whitened cross-covariance (directions above
     ``RANK_RTOL``) goes through one SVD. The same whitening decides joint
     PSD: if the whitened cross-covariance has spectral norm above
     1 + ``PSD_RTOL`` (its largest canonical correlation when both blocks
     have full rank, else the norm of the whole block, with dropped
-    directions floored), :class:`CovarianceError` is raised. Values in
-    (1, 1 + ``PSD_RTOL``] read as 1.
+    directions floored), :class:`CovarianceError` is raised. That norm is
+    first bounded from the kept block's norm and the Frobenius norm of the
+    rest, and a second SVD runs only when the bound exceeds
+    1 + ``PSD_RTOL``. Values in (1, 1 + ``PSD_RTOL``] read as 1.
 
     The spectrum is padded with zeros to max(dx, dy), so pairs of unequal
     length behave as if the shorter vector were extended with independent

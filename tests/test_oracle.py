@@ -140,6 +140,25 @@ class TestEnvelopeGrid:
         report = oracle.verify_envelope_grid(rho, oracle._ENVELOPE_MIN_LAM)
         assert report.passed, report
 
+    @pytest.mark.parametrize("rho, lam", [
+        (0.999, 0.3), (0.999, 0.999), (0.9999, 0.3), (0.9999, 0.9999),
+        (1.0 - 2.0 ** -52, 0.3)])
+    def test_grid_samples_past_the_kink_near_one(self, rho, lam,
+                                                  monkeypatch):
+        # from rho = 1 - 1/500 up, 1 - 1/500 no longer lies past the kink
+        grids = []
+        objective = oracle._envelope_objective
+
+        def spy(lam_, sig2, q):
+            grids.append(np.asarray(q))
+            return objective(lam_, sig2, q)
+
+        monkeypatch.setattr(oracle, "_envelope_objective", spy)
+        report = oracle.verify_envelope_grid(rho, lam)
+        assert report.passed, report
+        q = grids[0]
+        assert np.any((q > rho) & (q < 1.0))
+
 
 class TestGrayWynerDual:
     def test_blend_instance(self):

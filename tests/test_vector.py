@@ -357,3 +357,227 @@ class TestUnitInvariance:
         # X in units 10^-j and Y in units 10^-k
         self._check(seed, kind, 10.0 ** (2 * j), 10.0 ** (j + k),
                     10.0 ** (2 * k))
+
+
+def _conditioned(rng, d, kappa):
+    """A d x d factor A whose Gram matrix A A^T has eigenvalues spread
+    geometrically from 1 down to 1/kappa, in a random basis."""
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return q * np.sqrt(np.geomspace(1.0, 1.0 / kappa, d))
+
+
+def _pair(rng, ax, ay):
+    """Blocks with factors ``ax``, ``ay`` and planted correlations."""
+    m = min(ax.shape[1], ay.shape[1])
+    r = np.zeros((ax.shape[1], ay.shape[1]))
+    r[np.arange(m), np.arange(m)] = sorted(rng.uniform(0.0, 0.999, m),
+                                           reverse=True)
+    return ax @ ax.T, ax @ r @ ay.T, ay @ ay.T
+
+
+def _by_route(kx, kxy, ky):
+    """The route of each block, the spectrum, and the spectrum with every
+    block forced onto the eigendecomposition route."""
+    cov = JointGaussianCov(kx, kxy, ky)
+    routes = []
+    real = vector._cholesky
+
+    def spy(*args):
+        block = real(*args)
+        routes.append("eigh" if block is None else "cholesky")
+        return block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector, "_cholesky", spy)
+        rhos = np.array(vector.canonical_correlations(cov).rhos)
+        mp.setattr(vector, "_cholesky", lambda *args: None)
+        eigh_rhos = np.array(vector.canonical_correlations(cov).rhos)
+    return routes, rhos, eigh_rhos
+
+
+# The two routes whiten the same block, so their spectra differ only by
+# rounding, which grows with the blocks' condition number kappa. Over 4,500
+# pairs (kappa from 1 to 2e9, d up to 11, scales 1e-300 to 1e300) the
+# largest gap was 0.83 * d * eps * kappa. Against a 60-digit reference the
+# Cholesky route was the closer of the two.
+def _parity_bound(d, kappa):
+    return 4.0 * d * np.finfo(float).eps * kappa
+
+
+class TestCholeskyRoute:
+    """Full-rank blocks are whitened with a Cholesky factor; the result
+    matches the eigendecomposition route up to rounding."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9])
+    def test_matches_eigh_route_across_conditioning(self, kappa, scale):
+        rng = np.random.default_rng(int(math.log10(kappa)))
+        for dx, dy in ((1, 1), (2, 5), (7, 3), (11, 11)):
+            kx, kxy, ky = _pair(rng, _conditioned(rng, dx, kappa),
+                                _conditioned(rng, dy, kappa))
+            routes, rhos, eigh_rhos = _by_route(kx * scale, kxy * scale,
+                                                ky * scale)
+            assert routes == ["cholesky", "cholesky"]
+            np.testing.assert_allclose(
+                rhos, eigh_rhos, rtol=0.0,
+                atol=_parity_bound(max(dx, dy), kappa))
+
+    @pytest.mark.parametrize("j, k", [(-150, 150), (150, -150), (0, 100)])
+    def test_matches_eigh_route_in_separate_units(self, j, k):
+        rng = np.random.default_rng(7)
+        kx, kxy, ky = _pair(rng, _conditioned(rng, 4, 1e6),
+                            _conditioned(rng, 6, 1e6))
+        fx, fy = 10.0 ** j, 10.0 ** k
+        routes, rhos, eigh_rhos = _by_route(kx * fx * fx, kxy * fx * fy,
+                                            ky * fy * fy)
+        assert routes == ["cholesky", "cholesky"]
+        np.testing.assert_allclose(rhos, eigh_rhos, rtol=0.0,
+                                   atol=_parity_bound(6, 1e6))
+
+    @pytest.mark.parametrize("rank_y", [5, 3])
+    def test_one_block_on_each_route(self, rank_y):
+        # K_y has kappa = 5e9: full rank, as eigh sees it, but below the
+        # certificate. With rank_y < 5 it has a null space as well.
+        rng = np.random.default_rng(11)
+        ay = _conditioned(rng, 5, 5e9)[:, :rank_y]
+        kx, kxy, ky = _pair(rng, _conditioned(rng, 3, 10.0), ay)
+        routes, rhos, eigh_rhos = _by_route(kx, kxy, ky)
+        assert routes == ["cholesky", "eigh"]
+        assert len(rhos) == 5 and np.count_nonzero(rhos) == 3
+        np.testing.assert_allclose(rhos, eigh_rhos, rtol=0.0,
+                                   atol=_parity_bound(5, 5e9))
+
+    @pytest.mark.parametrize("side, route", [(1.01, "cholesky"),
+                                             (0.99, "eigh")])
+    def test_blocks_at_the_certificate_edge(self, side, route):
+        # Eigenvalues (1, 0.5, t). ||L^-1||_F^2 is the trace of K^-1, so the
+        # certificate 1/(3 + 1/t) > 4 RANK_RTOL ||K||_F holds for t above
+        # edge and fails below it; t stays far above RANK_RTOL, so the
+        # eigendecomposition route keeps every direction either way.
+        target = 4.0 * vector.RANK_RTOL * math.sqrt(1.25)
+        edge = target / (1.0 - 3.0 * target)
+        t = edge * side
+        rng = np.random.default_rng(13)
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        a = q * np.sqrt([1.0, 0.5, t])
+        r = np.diag([0.9, 0.6, 0.5])
+        routes, rhos, eigh_rhos = _by_route(a @ a.T, a @ r @ a.T, a @ a.T)
+        assert routes == [route, route]
+        kappa = 1.0 / t
+        np.testing.assert_allclose(rhos, eigh_rhos, rtol=0.0,
+                                   atol=_parity_bound(3, kappa))
+        np.testing.assert_allclose(rhos, [0.9, 0.6, 0.5], rtol=0.0,
+                                   atol=_parity_bound(3, kappa))
+
+    @pytest.mark.parametrize("eps, route, value", [
+        (1e-9, "cholesky", scalar.wyner_ci_scalar(0.9, 0.3)),
+        (1e-12, "eigh", 0.0),
+    ])
+    def test_small_correlated_direction(self, eps, route, value):
+        # kept at eps = 1e-9 (0.658 nats); below RANK_RTOL at 1e-12, where
+        # the correlated direction is dropped and the value is 0
+        k = np.diag([1.0, 1.0, eps])
+        kxy = np.diag([0.0, 0.0, 0.9 * eps])
+        routes, _, _ = _by_route(k, kxy, k)
+        assert routes == [route, route]
+        result = vector.wyner_ci_vector(JointGaussianCov(k, kxy, k), 0.3)
+        assert result.value_nats == pytest.approx(value, rel=1e-6, abs=0.0)
+        assert round(result.value_nats, 3) == (0.658 if value else 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 100, 385])
+    def test_triangular_inverse(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 2 * n + 2))
+        low = np.linalg.cholesky(a @ a.T / (2 * n + 2))
+        inv = low.copy()
+        vector._tril_inv(inv)
+        np.testing.assert_allclose(np.triu(inv, 1), 0.0, rtol=0.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(inv @ low, np.eye(n), rtol=0.0,
+                                   atol=1e-10)
+
+
+class _Calls:
+    """Counts calls to numpy.linalg functions while a test runs."""
+
+    def __init__(self, monkeypatch):
+        self.eigh = self.svd = 0
+        self.norms = []   # values returned by norm(w, 2)
+        linalg = np.linalg
+        real_eigh, real_svd, real_norm = linalg.eigh, linalg.svd, linalg.norm
+
+        def eigh(*args, **kwargs):
+            self.eigh += 1
+            return real_eigh(*args, **kwargs)
+
+        def svd(*args, **kwargs):
+            self.svd += 1
+            return real_svd(*args, **kwargs)
+
+        def norm(x, ord=None, *args, **kwargs):
+            value = real_norm(x, ord, *args, **kwargs)
+            if ord == 2:
+                self.norms.append(float(value))
+            return value
+
+        monkeypatch.setattr(linalg, "eigh", eigh)
+        monkeypatch.setattr(linalg, "svd", svd)
+        monkeypatch.setattr(linalg, "norm", norm)
+
+
+class TestWhiteningCalls:
+    def test_full_rank_pair_takes_no_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        kx, kxy, ky = _pair(rng, _conditioned(rng, 6, 1e4),
+                            _conditioned(rng, 4, 1e4))
+        calls = _Calls(monkeypatch)
+        vector.wyner_ci_vector(JointGaussianCov(kx, kxy, ky), 0.2)
+        assert (calls.eigh, calls.svd, calls.norms) == (0, 1, [])
+
+    def test_rank_deficient_pair_in_range_takes_no_second_svd(
+            self, monkeypatch):
+        rng = np.random.default_rng(19)
+        kx, kxy, ky = _pair(rng, _conditioned(rng, 5, 10.0)[:, :3],
+                            _conditioned(rng, 4, 10.0)[:, :2])
+        calls = _Calls(monkeypatch)
+        spectrum = vector.canonical_correlations(
+            JointGaussianCov(kx, kxy, ky))
+        assert (calls.eigh, calls.svd, calls.norms) == (2, 1, [])
+        assert np.count_nonzero(spectrum.rhos) == 2
+
+    @pytest.mark.parametrize("kept", [0.0, 0.999])
+    def test_range_violation_quotes_the_exact_norm(self, kept, monkeypatch):
+        cov = JointGaussianCov(np.diag([1.0, 0.0]), [[kept], [1e-4]],
+                               [[1.0]])
+        calls = _Calls(monkeypatch)
+        with pytest.raises(CovarianceError) as exc:
+            vector.canonical_correlations(cov)
+        assert calls.eigh == 1 and len(calls.norms) == 1
+        assert str(exc.value) == (
+            "stacked covariance is not positive semi-definite: min "
+            f"eigenvalue {1.0 - calls.norms[0]:.6e} after whitening each "
+            "block")
+
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dx=st.integers(0, 3),
+           dy=st.integers(0, 3),
+           outside=st.sampled_from([0.0, 1e-9, 1e-4, 0.5, 1.0]),
+           target=st.one_of(st.just(1.0), st.floats(-3.0, 3.0)))
+    def test_range_bound_accepts_only_within_tolerance(self, seed, dx, dy,
+                                                       outside, target):
+        # W scaled so that the bound lands within a few PSD_RTOL of the
+        # threshold, on either side; with nothing outside the kept block
+        # the bound is tight
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(dx + int(rng.integers(1, 4)),
+                             dy + int(rng.integers(1, 4))))
+        w[:dx] *= outside
+        w[dx:, :dy] *= outside
+
+        def bound(m):
+            top = np.linalg.svd(m[dx:, dy:], compute_uv=False)[0]
+            return vector._range_bound(m, dx, dy, float(top))
+
+        w *= (1.0 + target * vector.PSD_RTOL) / bound(w)
+        if bound(w) <= 1.0 + vector.PSD_RTOL:
+            assert np.linalg.norm(w, 2) <= 1.0 + vector.PSD_RTOL
