@@ -13,18 +13,21 @@ are active. :func:`waterfill` solves it that way;
 out.
 
 Each function checks its spectrum once, in :func:`as_rhos`, and then prices
-every component at once through the unchecked sequence kernels of
-:mod:`.scalar`: one list comprehension per closed form, with no Python call
-per component.
+the components through the unchecked sequence kernels of :mod:`.scalar`: one
+list comprehension per closed form, with no Python call per component. A
+saturated component adds nothing to the water-filling value, so
+:func:`waterfill` computes C(rho_i) only for the active components and for
+the saturated ones whose term could still round above zero.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate, repeat
-from operator import add, ge, mul
-from typing import NamedTuple, Sequence
+from itertools import accumulate, count, repeat
+from operator import add, ge, neg
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParameterError
 from .scalar import (
@@ -116,8 +119,12 @@ def as_rhos(spectrum) -> tuple[float, ...]:
     descending tuple of correlations in [0, 1]; -0.0 reads as +0.0."""
     if isinstance(spectrum, CanonicalSpectrum):
         return spectrum.rhos  # validated when it was built
-    # a tuple, so that the walk can iterate it again
-    raw = tuple(getattr(spectrum, "rhos", spectrum))
+    values = getattr(spectrum, "rhos", spectrum)
+    try:
+        raw = tuple(values)  # a tuple, so that the walk can iterate it again
+    except TypeError:
+        _reject_non_iterable(values, "canonical correlations")
+        raise
     try:
         rhos = list(map(float, raw))
     except (TypeError, ValueError, OverflowError):
@@ -130,9 +137,20 @@ def as_rhos(spectrum) -> tuple[float, ...]:
     if (math.isnan(sum(rhos)) or rhos != sorted(rhos, reverse=True)
             or rhos[-1] < 0.0 or rhos[0] > 1.0):
         return _checked_rhos(raw)
-    if rhos[-1] == 0.0:  # the zeros are last; some may be -0.0
-        return tuple(map(abs, rhos))
+    if rhos[-1] == 0.0:
+        # the zeros are last, and some may be -0.0: overwrite just those
+        first_zero = bisect_left(rhos, 0.0, key=neg)
+        rhos[first_zero:] = repeat(0.0, len(rhos) - first_zero)
     return tuple(rhos)
+
+
+def _reject_non_iterable(values, what: str) -> None:
+    """Raise a :class:`ParameterError` if ``values`` is not iterable."""
+    try:
+        iter(values)
+    except TypeError:
+        raise ParameterError(f"expected an iterable of {what}, "
+                             f"got {type(values).__name__}") from None
 
 
 def _checked_rhos(raw) -> tuple[float, ...]:
@@ -163,9 +181,12 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     sum of the saturated caps, and the water level is
     ``level_from_budget`` of that spend. The solve is exact: each active
     component's budget maps back to the water level bit for bit, and the
-    budgets add up to ``gamma`` to within n float roundings. A component
-    with rho_i = 1 never saturates and makes the total infinite for any
-    finite budget.
+    budgets add up to ``gamma`` to within n float roundings. The value is
+    the sum of max(C(rho_i) - beta, 0) in component order; a saturated
+    component's term is 0, since the level bought at its own cap is
+    C(rho_i), so C(rho_i) is priced only where rounding could make the term
+    nonzero (see the comment in the code). A component with rho_i = 1 never
+    saturates and makes the total infinite for any finite budget.
     """
     rhos = as_rhos(spectrum)
     gamma = validate_budget(gamma)
@@ -189,18 +210,38 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     saturated = tuple(map(ge, repeat(spend), caps))
     # Sum of max(C(rho_i) - beta, 0.0) as a left fold in component order.
     # A component with C(rho_i) <= beta adds 0.0 to a nonnegative total,
-    # which changes no bit, so the fold skips it.
-    total = reduce(add, [value - beta for value in _common_informations(rhos)
+    # which changes no bit, so the fold skips it. Its C(rho_i) need not be
+    # priced either. The first k components are active; a saturated one
+    # with cap_i < spend * (1 - 1e-9) and rho_i = 0 or rho_i >= 1e-5 is
+    # skipped, because its computed C(rho_i) cannot exceed beta:
+    # - at rho_i = 0, C(rho_i) is 0.0;
+    # - else the computed cap is within about 2 eps / rho_i <= 5e-11 of
+    #   I(rho_i) in relative terms (the log1p pair cancels like 1 / rho), so
+    #   I(rho_i) < spend * (1 - 9e-10). C(rho) = L(I(rho)) for the level
+    #   L = level_from_budget, whose elasticity x L'(x) / L(x) lies in
+    #   [1/2, 1]. So C(rho_i) < L(spend) * (1 - 4e-10), a gap that the
+    #   few-ulp errors of the computed C(rho_i) and beta cannot close.
+    # Below rho = 1e-5 the cap's error grows like eps / rho, so a saturated
+    # component there is priced whatever its cap.
+    active = int(k)
+    floor = spend * (1.0 - 1e-9)
+    priced = rhos[:active] + tuple([
+        r for r, cap in zip(rhos[active:], caps[active:])
+        if cap >= floor or (r < 1e-5 and r > 0.0)])
+    total = reduce(add, [value - beta for value in _common_informations(priced)
                          if value > beta], 0.0)
     return Allocation(gammas, beta, total, saturated, 0.0)
 
 
 def _weakest_first(caps):
     """The saturation order of a descending spectrum, weakest component
-    first: for k = n..1, the count k, caps[k-1], and the tail sum of the
-    caps after position k, added weakest first."""
+    first: for k = n..1, the count k as a float, caps[k-1], and the tail sum
+    of the caps after position k, added weakest first. Products and
+    quotients with a float k equal those with the int bit for bit
+    (k < 2**53), and skip converting k each time."""
     weakest = caps[::-1]
-    return range(len(caps), 0, -1), weakest, accumulate(weakest, initial=0.0)
+    return (count(float(len(caps)), -1.0), weakest,
+            accumulate(weakest, initial=0.0))
 
 
 def saturation_breakpoints(spectrum) -> tuple[float, ...]:
@@ -211,21 +252,26 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     k-th component transitions from active to saturated. Strictly increasing
     when the correlations are distinct; equal correlations saturate together.
     """
-    counts, caps, tails = _weakest_first(
-        _mutual_informations(as_rhos(spectrum)))
-    return tuple(map(add, map(mul, counts, caps), tails))
+    return tuple([k * cap + tail for k, cap, tail in zip(*_weakest_first(
+        _mutual_informations(as_rhos(spectrum))))])
 
 
-def evaluate_allocation(spectrum, gammas: Sequence[float]) -> float:
+def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
     """Total value of an arbitrary split: sum of the scalar closed forms.
 
     Upper-bounds ``waterfill(...).total_value`` for any feasible split of
-    the same total budget. Each budget is checked once.
+    the same total budget. ``gammas`` may be any iterable with one budget
+    per component; each budget is checked once.
     """
     rhos = as_rhos(spectrum)
-    if len(gammas) != len(rhos):
-        raise ParameterError(
-            f"got {len(gammas)} budgets for {len(rhos)} components")
+    try:
+        size = len(gammas)
+    except TypeError:  # an iterator of budgets, or not iterable at all
+        _reject_non_iterable(gammas, "budgets")
+        gammas = tuple(gammas)
+        size = len(gammas)
+    if size != len(rhos):
+        raise ParameterError(f"got {size} budgets for {len(rhos)} components")
     # Whole-sequence test, as in as_rhos: NaN-free floats >= 0 pass. Anything
     # else is checked again one budget at a time, which raises the first
     # offending budget's error.

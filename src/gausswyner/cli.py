@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 
 import argparse
 import math
+import re
 import sys
 
 # Each command imports the library modules it runs, and json only where JSON
@@ -173,8 +174,21 @@ def _cmd_verify(args) -> int:
     return 0 if record["all_passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that reads a
+    separate negative number in exponent notation (``--rho -1e-05``) as a
+    value. argparse's own pattern for a negative number has no exponent on
+    Python 3.10-3.13, so it took ``-1e-05`` for an unknown option."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gausswyner",
         description="Relaxed Wyner common information for Gaussian sources.")
     parser.add_argument("--version", action="version", version=__version__)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausswyner import allocation, scalar
@@ -118,6 +118,33 @@ class TestWaterfill:
         with pytest.raises(ParameterError, match="lies outside"):
             waterfill([2.0, None], 0.1)
 
+    @pytest.mark.parametrize("call, args, kind", [
+        (waterfill, (None, 0.1), "NoneType"),
+        (waterfill, (5, 0.1), "int"),
+        (saturation_breakpoints, (None,), "NoneType"),
+        (allocation.CanonicalSpectrum, (None,), "NoneType"),
+        (allocation.as_rhos, (0.5,), "float"),
+    ], ids=["waterfill-None", "waterfill-int", "breakpoints-None",
+            "spectrum-None", "as_rhos-float"])
+    def test_rejects_a_spectrum_that_is_not_iterable(self, call, args, kind):
+        with pytest.raises(ParameterError, match=(
+                f"^expected an iterable of canonical correlations, "
+                f"got {kind}$")):
+            call(*args)
+
+    def test_keeps_a_type_error_raised_while_iterating(self):
+        # only a spectrum that is not iterable at all is rejected as input;
+        # an iterator that fails on its own keeps its error
+        def broken():
+            yield 0.5
+            raise TypeError("broken iterator")
+
+        with pytest.raises(TypeError, match="^broken iterator$"):
+            waterfill(broken(), 0.1)
+
+    def test_accepts_an_iterator(self):
+        assert waterfill(iter([0.9, 0.5]), 0.1) == waterfill([0.9, 0.5], 0.1)
+
     def test_rejects_infinite_budget(self):
         with pytest.raises(ParameterError):
             waterfill([0.5], math.inf)
@@ -229,6 +256,26 @@ class TestEvaluateAllocation:
     def test_rejects_non_numeric_budget(self):
         with pytest.raises(ParameterError, match="^budget is not a number$"):
             evaluate_allocation([0.5], [None])
+
+    @pytest.mark.parametrize("gammas, kind", [(0.1, "float"),
+                                              (None, "NoneType")])
+    def test_rejects_budgets_that_are_not_iterable(self, gammas, kind):
+        with pytest.raises(ParameterError,
+                           match=f"^expected an iterable of budgets, "
+                                 f"got {kind}$"):
+            evaluate_allocation([0.5], gammas)
+
+    def test_accepts_any_iterable_of_budgets(self):
+        rhos, gammas = (0.9, 0.5, 0.0), (0.1, 0.2, 0.0)
+        expected = evaluate_allocation(rhos, gammas)
+        assert evaluate_allocation(rhos, (g for g in gammas)) == expected
+        assert evaluate_allocation(rhos, map(float, gammas)) == expected
+        # the count and the first bad budget are checked as for a list
+        with pytest.raises(ParameterError,
+                           match="^got 2 budgets for 3 components$"):
+            evaluate_allocation(rhos, iter(gammas[:2]))
+        with pytest.raises(ParameterError, match="^budget -1.0 must be"):
+            evaluate_allocation(rhos, iter([0.1, -1.0, -2.0]))
 
     def test_does_not_recheck_the_correlations(self, monkeypatch):
         rhos, gammas = (0.9, 0.5, 0.0), (0.1, 0.2, 0.0)
@@ -543,3 +590,75 @@ class TestAgainstReference:
             repr(_ref_breakpoints(rhos))
         assert repr(evaluate_allocation(rhos, alloc.gammas)) == \
             repr(_ref_evaluate(rhos, alloc.gammas))
+
+    # waterfill prices C(rho_i) only where its term can be nonzero; the
+    # reference prices every component, so these families hold the skipped
+    # ones to the reference where skipping is most delicate
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups=st.lists(
+        st.tuples(st.floats(0.0, 1.0) | st.sampled_from(
+                      [1.0 - 1e-9, 0.5, 1e-5, 3e-6, 0.0]),
+                  st.integers(1, 4)),
+        min_size=1, max_size=6))
+    # one ulp past a breakpoint, the saturated tie pair's computed C(rho)
+    # lies above the level: the cap margin must not be zero
+    @example(groups=[(0.12629360022397684, 1), (0.05874620071553183, 1),
+                     (0.05592727365875538, 2), (1e-05, 2)])
+    def test_matches_the_reference_at_breakpoints(self, groups):
+        # tie groups saturate together; a budget at, or within 1e-12 of, a
+        # breakpoint leaves a saturated cap equal or next to the spend
+        rhos = sorted((rho for rho, copies in groups for _ in range(copies)),
+                      reverse=True)
+        for point in _ref_breakpoints(rhos):
+            for gamma in (point, point * (1.0 - 1e-12), point * (1.0 + 1e-12),
+                          math.nextafter(point, 0.0),
+                          math.nextafter(point, math.inf)):
+                assert _outcome(waterfill, rhos, gamma) == \
+                    _outcome(_ref_waterfill, rhos, gamma)
+                if math.isfinite(gamma):
+                    gammas = _ref_waterfill(rhos, gamma).gammas
+                    assert _outcome(evaluate_allocation, rhos, gammas) == \
+                        _outcome(_ref_evaluate, rhos, gammas)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_rho=st.floats(-9.0, math.log10(3e-7)),
+           log_gap=st.floats(-6.0, -1.0),
+           u=st.floats(-9.3, -6.0))
+    def test_matches_the_reference_on_tiny_pairs(self, log_rho, log_gap, u):
+        # below rho = 1e-5 the log1p pair's cap is off by about eps / rho in
+        # relative terms, so a component saturated by its cap can still
+        # have C(rho) above the level: a margin on the cap is not enough
+        rho = 10.0 ** log_rho
+        rhos = [rho, rho * (1.0 - 10.0 ** log_gap)]
+        gamma = 2.0 * _ref_mutual_information(rhos[1]) * (1.0 + 10.0 ** u)
+        assert _outcome(waterfill, rhos, gamma) == \
+            _outcome(_ref_waterfill, rhos, gamma)
+
+    def test_tiny_saturated_component_is_priced(self):
+        # the second component saturates, yet its C(rho) exceeds the level;
+        # skipping it on the cap margin alone gives 9.596873236046323e-13
+        rhos = (2.1170419469950974e-09, 2.1160823114716897e-09)
+        alloc = waterfill(rhos, 4.477804118294965e-18)
+        assert alloc.saturated == (False, True)
+        assert repr(alloc.total_value) == "9.597391238015377e-13"
+        assert repr(alloc) == repr(_ref_waterfill(rhos, 4.477804118294965e-18))
+
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.lists(st.floats(0.0, 1.0), max_size=6),
+           zeros=st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
+                          max_size=8),
+           share=st.floats(0.0, 1.5) | st.sampled_from([0.0, -0.0]))
+    def test_trailing_zeros_read_as_positive_zero(self, head, zeros, share):
+        rhos = sorted(head, reverse=True) + zeros
+        assert [math.copysign(1.0, r) for r in allocation.as_rhos(rhos)] == \
+            [1.0] * len(rhos)
+        gamma = share * sum(_ref_mutual_information(r) for r in rhos
+                            if r < 1.0)
+        for lib, ref, args in [
+                (allocation.as_rhos, _ref_as_rhos, (rhos,)),
+                (waterfill, _ref_waterfill, (rhos, gamma)),
+                (saturation_breakpoints, _ref_breakpoints, (rhos,)),
+                (evaluate_allocation, _ref_evaluate,
+                 (rhos, [gamma] * len(rhos)))]:
+            assert _outcome(lib, *args) == _outcome(ref, *args), lib.__name__

@@ -1,5 +1,6 @@
 """Command-line contract: JSON records, CSV output, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -445,6 +446,66 @@ class TestEntryPoint:
         record = json.loads(proc.stdout)
         assert record["value_nats"] == pytest.approx(0.0946030591935194,
                                                      abs=1e-9)
+
+
+def _joined(argv):
+    """``argv`` with each flag's value joined to it by "=" """
+    out, rest = [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        if token.startswith("--") and rest and not rest[0].startswith("--"):
+            token = f"{token}={rest.pop(0)}"
+        out.append(token)
+    return out
+
+
+class TestSeparateNegativeValues:
+    """A negative number in exponent notation, given as its own argument,
+    is the flag's value, as it is when joined with "="."""
+
+    @pytest.mark.parametrize("argv", [
+        ("scalar", "--rho", "-1e-05", "--gamma", "1e-05"),
+        ("scalar", "--rho", "-1.5E+3", "--gamma", "0.1"),
+        ("scalar", "--rho", "-.5e-1", "--gamma", "-2.5e-3", "--bits"),
+        ("scalar", "--rho", "-5.E-1", "--gamma", "0.1"),
+        ("graywyner", "--rho", "-5E-1", "--delta", "0.1", "--alpha", "0.5"),
+        ("graywyner", "--rho", "0.5", "--sigma2", "-1e+2", "--delta", "0.1",
+         "--alpha", "0.5"),
+        ("curve", "--rho", "-2e-1", "--gamma-max", "1e-1", "--steps", "4"),
+        ("curve", "--rho", "0.5", "--gamma-max", "-1e-3", "--steps", "4"),
+        ("vector", "--gamma", "-1e-2"),
+        ("vector", "--gamma", "2e-1"),
+    ])
+    def test_reads_as_the_joined_form(self, tmp_path, capsys, argv):
+        if argv[0] == "curve":
+            argv += ("--output", str(tmp_path / "curve.csv"))
+        if argv[0] == "vector":
+            path = tmp_path / "cov.json"
+            path.write_text('{"kx": [[1,0],[0,1]], "ky": [[1,0],[0,1]], '
+                            '"kxy": [[0.5,0],[0,0.5]]}')
+            argv += ("--input", str(path))
+        separate = run_cli(capsys, *argv)
+        joined = run_cli(capsys, *_joined(argv))
+        assert separate == joined
+        assert "expected one argument" not in separate[2]
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",), ("scalar", "--help"), ("vector", "--help"),
+        ("curve", "--help"), ("graywyner", "--help"), ("verify", "--help"),
+        ("scalar", "--rho", "--gamma", "0.1"),
+        ("scalar", "--rho", "-x", "--gamma", "0.1"),
+        ("scalar", "--rho", "-1e", "--gamma", "0.1"),
+    ])
+    def test_help_and_usage_are_argparse_s_own(self, monkeypatch, capsys,
+                                               argv):
+        def run():
+            with pytest.raises(SystemExit) as stop:
+                cli.main(list(argv))
+            return (stop.value.code, *capsys.readouterr())
+
+        ours = run()
+        monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+        assert ours == run()
 
 
 # every float class the parsers can meet: signed zeros, non-finite values,
