@@ -9,7 +9,9 @@ value side by side; :func:`run_suite` runs the published instance table
 used by the command-line ``verify`` subcommand. Grid sizes, sample counts
 and seeds are fixed constants; the simplex ``step`` of
 :func:`verify_waterfill_grid` is the one tuning argument, and a simplex of
-more than ``_SIMPLEX_MAX_POINTS`` points is refused.
+more than ``_SIMPLEX_MAX_POINTS`` points is refused. The simplex search
+prices each component once, on one lattice axis, and folds the components
+in one at a time, so its memory grows with the axis, not with the simplex.
 
 Each verifier imports what it runs: numpy comes in only with the grid and
 sampling checks (scalar achievability, the dual sweep, the water-filling
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from typing import NamedTuple
 
 from . import graywyner, scalar
@@ -196,23 +199,22 @@ def _ci_curve(rho: float, gammas):
         scalar.common_information(rho) - (np.log1p(s) + gammas), 0.0)
 
 
-def _simplex_axis(total: float, step: float):
-    import numpy as np
-
-    if total <= 0.0:
-        return np.array([0.0])
-    return np.linspace(0.0, total, max(2, int(round(total / step)) + 1))
-
-
 def verify_waterfill_grid(spectrum, gamma: float,
                           step: float = 1e-3) -> CheckReport:
     """Exhaustive simplex search of the budget split versus ``waterfill``.
 
     Supports 1 to 3 components (the grid blows up combinatorially beyond
     that, and the tensorized structure makes larger spectra redundant for
-    verification). Grid agreement is judged at 10x the step size. A grid of
-    more than ``_SIMPLEX_MAX_POINTS`` points raises ``ParameterError``
-    before any array is built.
+    verification). The simplex is the lattice of splits into n = gamma/step
+    parts: each component is priced once on ``linspace(0, gamma, n + 1)``,
+    and the components are folded in one at a time. A grid of more than
+    ``_SIMPLEX_MAX_POINTS`` points raises ``ParameterError`` before any
+    array is built.
+
+    Every lattice point is a feasible split, so the grid minimum may
+    undercut the closed form only by rounding; it may exceed it by up to
+    10x the step size. ``waterfill``'s own budgets, priced again here, must
+    add up to its value, and with its slack to ``gamma``, both to rounding.
     """
     import numpy as np
 
@@ -238,31 +240,43 @@ def verify_waterfill_grid(spectrum, gamma: float,
             f"{_SIMPLEX_MAX_POINTS}; use a coarser step")
     alloc = allocation.waterfill(rhos, gamma)
 
-    if len(rhos) == 1:
-        grid_min = float(_ci_curve(rhos[0], np.array([gamma]))[0])
-        argmin = (gamma,)
-    elif len(rhos) == 2:
-        axis = _simplex_axis(gamma, step)
-        values = _ci_curve(rhos[0], axis) + _ci_curve(rhos[1], gamma - axis)
-        k = int(np.argmin(values))
-        grid_min = float(values[k])
-        argmin = (float(axis[k]), float(gamma - axis[k]))
-    else:
-        grid_min, argmin = math.inf, None
-        for g1 in _simplex_axis(gamma, step):
-            remainder = gamma - g1
-            inner = _simplex_axis(remainder, step)
-            values = (_ci_curve(rhos[1], inner)
-                      + _ci_curve(rhos[2], np.maximum(remainder - inner, 0.0))
-                      + float(_ci_curve(rhos[0], np.array([g1]))[0]))
-            k = int(np.argmin(values))
-            if float(values[k]) < grid_min:
-                grid_min = float(values[k])
-                argmin = (float(g1), float(inner[k]),
-                          float(max(remainder - inner[k], 0.0)))
+    # one component has the single split (gamma,): two axis points hold it
+    n = max(1, round(gamma / step)) if len(rhos) > 1 else 1
+    axis = np.linspace(0.0, gamma, n + 1)
+    prices = [_ci_curve(rho, axis) for rho in rhos]
+    # best[m]: the least price of the components folded in so far at m
+    # parts in all, and picks[m] the parts of the one folded in last; the
+    # last fold, of the first component, needs m = n only
+    best, folds = prices[-1], []
+    for c in range(len(rhos) - 2, -1, -1):
+        values, picks = [], {}
+        for m in range(n + 1) if c else (n,):
+            row = prices[c][:m + 1] + best[m::-1]
+            picks[m] = i = int(row.argmin())
+            values.append(row[i])
+        best = np.array(values)
+        folds.append(picks)
+    grid_min = float(best[-1])
+    m, argmin = n, []
+    for picks in reversed(folds):
+        argmin.append(float(axis[picks[m]]))
+        m -= picks[m]
+    argmin = (*argmin, float(axis[m]))
 
+    # Rounding bound of the three sums below: one term per component, each
+    # off by a few roundings of its own size, which is at most C(rho_1) (a
+    # price), gamma (a budget) or about 1 (a saturated component of small
+    # rho repriced at its cap is off by about one ulp of 1, not of C).
+    rounding = (8.0 * len(rhos) * sys.float_info.epsilon
+                * max(1.0, scalar.common_information(rhos[0]), gamma))
+    repriced_gap = float(sum(
+        _ci_curve(rho, np.array([g]))[0]
+        for rho, g in zip(rhos, alloc.gammas))) - alloc.total_value
+    budget_gap = math.fsum((*alloc.gammas, alloc.slack)) - gamma
     tolerance = 10.0 * step
-    passed = abs(grid_min - alloc.total_value) <= tolerance
+    passed = (-rounding <= grid_min - alloc.total_value <= tolerance
+              and abs(repriced_gap) <= rounding
+              and abs(budget_gap) <= rounding)
     return CheckReport(
         name=f"waterfill_grid(spectrum={list(rhos)}, gamma={gamma})",
         oracle_value=grid_min,
@@ -274,6 +288,8 @@ def verify_waterfill_grid(spectrum, gamma: float,
             "grid_argmin": argmin,
             "waterfill_gammas": list(alloc.gammas),
             "water_level_beta": alloc.water_level_beta,
+            "repriced_gap": repriced_gap,
+            "budget_gap": budget_gap,
         },
     )
 
@@ -288,12 +304,13 @@ def _envelope_objective(lam: float, sig2, q):
 
     sig4 = np.square(sig2)
     return (0.5 * np.log(_FOUR_PI2E2 * sig4)
-            - 0.5 * (1.0 + lam) * np.log(_FOUR_PI2E2 * sig4 * (1.0 - q * q)))
+            - 0.5 * (1.0 + lam) * np.log(
+                _FOUR_PI2E2 * sig4 * ((1.0 - q) * (1.0 + q))))
 
 
 def envelope_closed_form(rho: float, lam: float) -> float:
     """Closed-form minimum of the envelope objective over the feasible set."""
-    return (0.5 * math.log(1.0 / (1.0 - lam * lam))
+    return (0.5 * math.log(1.0 / ((1.0 - lam) * (1.0 + lam)))
             - 0.5 * lam * math.log(
                 _FOUR_PI2E2 * (1.0 - rho) ** 2 * (1.0 + lam) / (1.0 - lam)))
 
@@ -310,7 +327,8 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
     cap/500 swamps the shallow curvature along the boundary.) Checks that
     the grid minimum does not undercut the closed form and that the
     minimizer lands within two cells of the analytic optimum
-    (sig2, q) = ((1-rho)/(1-lam), lam).
+    (sig2, q) = ((1-rho)/(1-lam), lam): in q directly, and in sig2 along
+    the cap, on which the optimum lies.
     """
     import numpy as np
 
@@ -347,10 +365,17 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
     sig2_cell = (1.0 - edge) / (_ENVELOPE_POINTS - 1) * float(cap[col])
     kkt_gap = float(_envelope_objective(
         lam, np.array([sig2_star]), np.array([q_star]))[0]) - closed
+    # The optimum lies on the cap sig2 = (1-rho)/(1-q), whose slope there,
+    # sig2*/(1-q*), is steep as q* nears 1: a q offset under one cell can
+    # move sig2 by many cells. So sig2 is judged against the cap at q_hat,
+    # shifted by the analytic minimizer's own offset from the cap at q*
+    # (q* = lam <= rho lies left of the kink).
+    sig2_off = (sig2_hat - float(cap[col])
+                - (sig2_star - min((1.0 - rho) / (1.0 - q_star), 1.0)))
 
     passed = (grid_min >= closed - 1e-3
               and abs(q_hat - q_star) <= 2.0 * q_cell + 1e-12
-              and abs(sig2_hat - sig2_star) <= 2.0 * sig2_cell + 1e-12
+              and abs(sig2_off) <= 2.0 * sig2_cell + 1e-12
               and abs(kkt_gap) <= 1e-12)
     return CheckReport(
         name=f"envelope_grid(rho={rho}, lam={lam})",
@@ -362,7 +387,7 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
             "grid_points": _ENVELOPE_POINTS,
             "minimizer": [sig2_hat, q_hat],
             "analytic_minimizer": [sig2_star, q_star],
-            "cells_off": [abs(sig2_hat - sig2_star) / sig2_cell,
+            "cells_off": [abs(sig2_off) / sig2_cell,
                           abs(q_hat - q_star) / q_cell],
             "kkt_identity_gap": kkt_gap,
         },
@@ -590,7 +615,7 @@ _SUITE_CHECKS = {
     ),
     "waterfill": (
         (verify_waterfill_grid,
-         (((0.9, 0.2), 1.0), ((0.8, 0.8), 0.2), ((0.9, 0.5, 0.2), 0.5))),
+         (((0.9, 0.5), 0.2), ((0.8, 0.8), 0.2), ((0.9, 0.5, 0.2), 0.5))),
     ),
     "envelope": (
         (verify_envelope_grid, ((0.5, 0.3), (0.7, 0.7), (0.9, 0.2))),

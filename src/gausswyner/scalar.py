@@ -235,8 +235,9 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
             f"budget {gamma!r} exceeds the pair's mutual information {cap!r}")
     alpha = min(math.sqrt(-math.expm1(-2.0 * gamma)), rho)
     sigma2_w = (rho - alpha) / (1.0 - alpha)
-    rate = 0.5 * math.log(
-        (1.0 + rho) * (1.0 - alpha) / ((1.0 - rho) * (1.0 + alpha)))
+    # I(X,Y;W) = (1/2) log((1+rho)(1-alpha) / ((1-rho)(1+alpha))), taken as
+    # a difference: the ratio rounds to 1 at small rho (0.0 at rho = 1e-17).
+    rate = math.atanh(rho) - math.atanh(alpha)
     return AchievabilityParams(alpha, sigma2_w, max(rate, 0.0), gamma)
 
 

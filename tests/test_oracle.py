@@ -1,15 +1,28 @@
 """The verifiers themselves: spec examples per oracle, plus report shape."""
 
+import inspect
+import itertools
 import math
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
-from gausswyner import oracle, scalar
+from gausswyner import allocation, oracle, scalar
 from gausswyner.errors import ParameterError
 
 LN2 = math.log(2.0)
+
+
+def _mutant(monkeypatch, module, name, old, new):
+    """Replace ``module.name`` with a copy compiled from its source, with the
+    one occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 class TestScalarAchievability:
@@ -84,6 +97,72 @@ class TestWaterfillGrid:
         report = oracle.verify_waterfill_grid((0.9, 0.5, 0.2), 0.5, step=1e-3)
         assert report.passed
 
+    @pytest.mark.parametrize("spectrum, gamma, points", [
+        ((0.5,), 0.07, 2), ((0.9, 0.5), 0.2, 201),
+        ((0.9, 0.5, 0.2), 0.5, 501)])
+    def test_prices_each_component_once(self, spectrum, gamma, points,
+                                        monkeypatch):
+        sizes = []
+        curve = oracle._ci_curve
+
+        def spy(rho, gammas):
+            sizes.append(np.size(gammas))
+            return curve(rho, gammas)
+
+        monkeypatch.setattr(oracle, "_ci_curve", spy)
+        assert oracle.verify_waterfill_grid(spectrum, gamma).passed
+        # the lattice axis per component, then waterfill's budget per one
+        assert sizes == [points] * len(spectrum) + [1] * len(spectrum)
+
+    @pytest.mark.parametrize("spectrum, gamma", [
+        ((0.9, 0.5), 0.2), ((0.9, 0.5, 0.2), 0.5), ((0.8, 0.8, 0.8), 0.3),
+        ((0.99, 0.3, 0.1), 1.0)])
+    def test_finds_the_lattice_minimum(self, spectrum, gamma):
+        # every split of n parts, each priced and summed from the last
+        # component up, as the folds do
+        step = 0.02
+        n = max(1, round(gamma / step))
+        axis = np.linspace(0.0, gamma, n + 1)
+        prices = [oracle._ci_curve(rho, axis) for rho in spectrum]
+
+        def price(split):
+            terms = [p[i] for p, i in zip(prices, split)]
+            total = terms[-1]
+            for term in terms[-2::-1]:
+                total = term + total
+            return float(total)
+
+        splits = [split for split
+                  in itertools.product(range(n + 1), repeat=len(spectrum))
+                  if sum(split) == n]
+        report = oracle.verify_waterfill_grid(spectrum, gamma, step=step)
+        assert report.oracle_value == min(map(price, splits))
+        argmin = tuple(list(axis).index(g)
+                       for g in report.details["grid_argmin"])
+        assert sum(argmin) == n
+        assert price(argmin) == report.oracle_value
+
+    def test_every_suite_instance_has_an_active_component(self):
+        # a fully saturated instance has value 0 whatever the water level
+        (_, instances), = oracle._SUITE_CHECKS["waterfill"]
+        saturated = [allocation.waterfill(*args).saturated
+                     for args in instances]
+        assert not any(map(all, saturated))
+        assert (False, True, True) in saturated
+
+    @pytest.mark.parametrize("factor", [0.995, 1.005])
+    def test_wrong_water_level_fails_the_suite(self, factor, monkeypatch):
+        level = allocation.level_from_budget
+        monkeypatch.setattr(allocation, "level_from_budget",
+                            lambda x: factor * level(x))
+        assert not any(r.passed for r in oracle.run_suite("waterfill"))
+
+    def test_wrong_spend_fails_the_suite(self, monkeypatch):
+        _mutant(monkeypatch, allocation, "waterfill",
+                "spend = (gamma - tail) / k",
+                "spend = 1.01 * (gamma - tail) / k")
+        assert not any(r.passed for r in oracle.run_suite("waterfill"))
+
     def test_rejects_more_than_three(self):
         with pytest.raises(ParameterError):
             oracle.verify_waterfill_grid((0.9, 0.7, 0.5, 0.2), 0.5)
@@ -119,9 +198,29 @@ class TestEnvelopeGrid:
         assert q_hat == pytest.approx(0.7, abs=1e-12)
 
     def test_kkt_substitution_identity(self):
-        for rho, lam in ((0.5, 0.3), (0.9, 0.2)):
+        # 1 - x*x would cancel near one: -5.5e-12 and -2.5e-10 there
+        for rho, lam in ((0.5, 0.3), (0.9, 0.2), (0.999999, 0.999999),
+                         (1.0 - 1e-9, 1.0 - 1e-9)):
             report = oracle.verify_envelope_grid(rho, lam)
             assert abs(report.details["kkt_identity_gap"]) <= 1e-12
+
+    @pytest.mark.parametrize("rho, lam", [
+        (0.998, 0.9), (0.999, 0.9), (0.999999, 0.999999),
+        (1.0 - 1e-9, 1.0 - 1e-9)])
+    def test_passes_where_the_cap_is_steep(self, rho, lam):
+        # at the first two pairs, a q offset under one cell is 9.0 and 6.3
+        # sig2 cells along the cap, whose slope is sig2*/(1 - q*)
+        report = oracle.verify_envelope_grid(rho, lam)
+        assert report.passed, report
+        assert max(report.details["cells_off"]) <= 2.0
+
+    @pytest.mark.parametrize("rho, lam", [
+        (0.5, 0.3), (0.7, 0.7), (0.9, 0.2), (0.998, 0.9), (0.999, 0.9)])
+    def test_minimizer_off_the_cap_fails(self, rho, lam, monkeypatch):
+        _mutant(monkeypatch, oracle, "verify_envelope_grid",
+                "sig2_star, q_star = (1.0 - rho) / (1.0 - lam), lam",
+                "sig2_star, q_star = 1.01 * (1.0 - rho) / (1.0 - lam), lam")
+        assert not oracle.verify_envelope_grid(rho, lam).passed
 
     def test_rejects_lambda_above_rho(self):
         with pytest.raises(ParameterError):
