@@ -195,7 +195,7 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     if not rhos:
         return Allocation((), 0.0, 0.0, (), gamma)
     caps = tuple(_mutual_informations(rhos))
-    total_cap = sum(caps)
+    total_cap = math.fsum(caps)
     if gamma >= total_cap:
         return Allocation(caps, _common_information(rhos[0]), 0.0,
                           (True,) * len(rhos), gamma - total_cap)
@@ -282,4 +282,4 @@ def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
     if (budgets is None or math.isnan(sum(budgets))
             or min(budgets, default=0.0) < 0.0):
         budgets = list(map(validate_budget, gammas))
-    return sum(_wyner_cis(rhos, budgets))
+    return math.fsum(_wyner_cis(rhos, budgets))

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 """
 
 import argparse
+import gc
 import math
 import re
 import sys
@@ -23,7 +24,7 @@ from . import __version__
 from ._suites import SUITES
 from .errors import CovarianceError, ParameterError
 
-__all__ = ["main"]
+__all__ = ["entry_point", "main"]
 
 SCHEMA_VERSION = 1
 _LN2 = math.log(2.0)
@@ -255,5 +256,22 @@ def main(argv=None) -> int:
         return 4
 
 
+def entry_point() -> int:
+    """:func:`main` on ``sys.argv`` for a whole process: ``python -m
+    gausswyner`` and the ``gausswyner`` console script.
+
+    On the way out it freezes the collector (``gc.freeze()``), so the full
+    collections that run while the interpreter clears its modules no longer
+    trace every live object, numpy's included; refcounting still frees them,
+    and ``SystemExit``, atexit handlers and stream flushing are unchanged.
+    :func:`main` itself leaves the collector alone, because tests and library
+    users call it in-process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

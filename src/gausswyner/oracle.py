@@ -53,6 +53,10 @@ _SCALAR_GRID_SIZE = 100_000   # alpha samples of the achievability sweep
 # water-filling simplex points: the published instances use at most 125,751,
 # three components at gamma = 2, step = 1e-3 about 2.0 million
 _SIMPLEX_MAX_POINTS = 4_000_000
+# Fewest cells of the water-filling lattice: the level's sqrt(2 gamma) slope
+# at 0 makes a one- or two-cell split of a small budget miss by more than
+# the tolerance
+_SIMPLEX_MIN_CELLS = 100
 _DUAL_SAMPLES = 50            # random triples of the weak-duality sweep
 _DUAL_SEED = 7
 _ENVELOPE_POINTS = 500        # q columns, and sig2 samples per column
@@ -205,9 +209,10 @@ def verify_waterfill_grid(spectrum, gamma: float,
 
     Supports 1 to 3 components (the grid blows up combinatorially beyond
     that, and the tensorized structure makes larger spectra redundant for
-    verification). The simplex is the lattice of splits into n = gamma/step
-    parts: each component is priced once on ``linspace(0, gamma, n + 1)``,
-    and the components are folded in one at a time. A grid of more than
+    verification). The simplex is the lattice of splits into
+    n = max(100, round(gamma/step)) parts: each component is priced once on
+    ``linspace(0, gamma, n + 1)``, and the components are folded in one at
+    a time. A grid of more than
     ``_SIMPLEX_MAX_POINTS`` points raises ``ParameterError`` before any
     array is built.
 
@@ -230,9 +235,9 @@ def verify_waterfill_grid(spectrum, gamma: float,
     # an infinite step would make the tolerance, 10 * step, accept anything
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step {step!r} must be positive and finite")
-    # gamma/step + 1 points per axis, a triangle of them for three
-    # components; in floats, so an infinite count compares too
-    per_axis = gamma / step + 1.0
+    # n + 1 points per axis, a triangle of them for three components; in
+    # floats, so an infinite count compares too
+    per_axis = max(_SIMPLEX_MIN_CELLS, gamma / step) + 1.0
     points = (1.0, per_axis, per_axis * (per_axis + 1.0) / 2.0)[len(rhos) - 1]
     if points > _SIMPLEX_MAX_POINTS:
         raise ParameterError(
@@ -241,7 +246,7 @@ def verify_waterfill_grid(spectrum, gamma: float,
     alloc = allocation.waterfill(rhos, gamma)
 
     # one component has the single split (gamma,): two axis points hold it
-    n = max(1, round(gamma / step)) if len(rhos) > 1 else 1
+    n = max(_SIMPLEX_MIN_CELLS, round(gamma / step)) if len(rhos) > 1 else 1
     axis = np.linspace(0.0, gamma, n + 1)
     prices = [_ci_curve(rho, axis) for rho in rhos]
     # best[m]: the least price of the components folded in so far at m

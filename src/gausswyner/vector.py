@@ -264,8 +264,10 @@ def _range_bound(w: np.ndarray, dx: int, dy: int, top: float) -> float:
     raised by a few units of it.
     """
     slack = 1.0 + 4.0 * (w.shape[0] + w.shape[1]) * sys.float_info.epsilon
-    return slack * math.hypot(top, float(np.linalg.norm(w[:dx])),
-                              float(np.linalg.norm(w[dx:, :dy])))
+    # a Frobenius norm past the float range reads inf, which fails the bound
+    with np.errstate(over="ignore"):
+        return slack * math.hypot(top, float(np.linalg.norm(w[:dx])),
+                                  float(np.linalg.norm(w[dx:, :dy])))
 
 
 def _canonical(cov: JointGaussianCov) -> tuple[_Block, _Block, np.ndarray]:

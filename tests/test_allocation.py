@@ -15,6 +15,8 @@ from gausswyner.allocation import (
 )
 from gausswyner.errors import ParameterError
 
+import allocation_digest
+
 
 class TestWaterfill:
     def test_single_component_matches_scalar(self):
@@ -418,7 +420,7 @@ def _ref_waterfill(raw, gamma):
         return allocation.Allocation((), 0.0, 0.0, (), gamma)
     caps = tuple(_ref_mutual_information(r) for r in rhos)
     values = tuple(_ref_common_information(r) for r in rhos)
-    total_cap = sum(caps)
+    total_cap = math.fsum(caps)
     if gamma >= total_cap:
         return allocation.Allocation(
             caps, values[0], 0.0, (True,) * len(rhos), gamma - total_cap)
@@ -459,7 +461,7 @@ def _ref_evaluate(raw, gammas):
     if len(gammas) != len(rhos):
         raise ParameterError(
             f"got {len(gammas)} budgets for {len(rhos)} components")
-    return sum(_ref_wyner_ci(r, g) for r, g in zip(rhos, gammas))
+    return math.fsum(_ref_wyner_ci(r, g) for r, g in zip(rhos, gammas))
 
 
 def _outcome(f, *args):
@@ -662,3 +664,28 @@ class TestAgainstReference:
                 (evaluate_allocation, _ref_evaluate,
                  (rhos, [gamma] * len(rhos)))]:
             assert _outcome(lib, *args) == _outcome(ref, *args), lib.__name__
+
+
+class TestSameBitsOnEveryPython:
+    """Sums of floats are exactly rounded (``math.fsum``): the builtin
+    ``sum`` is compensated from Python 3.12 on, so it gave other last bits
+    on 3.10 and 3.11."""
+
+    def test_sweep_matches_the_checked_in_digest(self):
+        assert allocation_digest.sweep_digest() == allocation_digest.DIGEST
+
+    def test_evaluate_allocation_total(self):
+        # the builtin sum gives 1.802987975936814 on 3.10 and 3.11
+        total = evaluate_allocation(
+            [0.958, 0.884, 0.485, 0.359, 0.233, 0.232, 0.176, 0.151],
+            [0.589, 0.263, 0.004, 0.419, 0.369, 0.566, 0.953, 0.69])
+        assert repr(total) == "1.8029879759368141"
+
+    def test_waterfill_slack(self):
+        # the builtin sum gives 0.8794155367707397 on 3.10 and 3.11
+        rhos = [0.801, 0.41, 0.151, 0.089]
+        alloc = waterfill(rhos, 1.5)
+        assert alloc.saturated == (True,) * 4
+        assert repr(alloc.slack) == "0.8794155367707398"
+        assert alloc.slack == 1.5 - math.fsum(
+            scalar.mutual_information(r) for r in rhos)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -448,6 +449,96 @@ class TestEntryPoint:
                                                      abs=1e-9)
 
 
+# Prints the collector's count of frozen objects once the entry point has
+# returned and the interpreter has begun to exit.
+_FROZEN_AT_EXIT = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+    "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
+    "runpy.run_module('gausswyner', run_name='__main__')\n"
+)
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)`` in this process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _take_csvs(folder):
+    """The CSV files in ``folder``, by name, removed once read."""
+    taken = {}
+    for path in folder.glob("*.csv"):
+        taken[path.name] = path.read_bytes()
+        path.unlink()
+    return taken
+
+
+class TestExitPath:
+    """A ``gausswyner`` process runs ``cli.entry_point``, which freezes the
+    collector on the way out, so that teardown's collections skip the
+    objects it is about to free. Nothing a caller sees changes: each exit
+    code, stdout and stderr is that of an in-process ``cli.main`` call."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scalar", "--rho=0.5", "--gamma=0.1"],
+        ["vector", "--input={cov}", "--gamma=0.1"],
+        ["verify", "--suite=discrete"],
+    ])
+    def test_collector_is_frozen_at_exit(self, tmp_path, argv):
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
+                                   "dim_x": 1}))
+        argv = [arg.format(cov=cov) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr.splitlines()[-1]) > 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["scalar", "--rho=0.5", "--gamma=0.1"], 0),
+        (["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
+          "--output={tmp}/curve.csv"], 0),
+        (["scalar", "--rho=0.5"], 2),                   # argparse
+        (["scalar", "--rho=2", "--gamma=0.1"], 2),      # ParameterError
+        (["vector", "--input={indefinite}", "--gamma=0.2"], 3),
+        (["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
+          "--output={tmp}/missing/curve.csv"], 4),
+    ])
+    def test_process_matches_in_process_main(self, tmp_path, argv, code):
+        indefinite = tmp_path / "indefinite.json"
+        indefinite.write_text(json.dumps({"kx": [[1, 0], [0, 1]],
+                                          "ky": [[1, 0], [0, 1]],
+                                          "kxy": [[1.3, 0], [0, 0.5]]}))
+        argv = [arg.format(tmp=tmp_path, indefinite=indefinite)
+                for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "gausswyner", *argv],
+                              capture_output=True, text=True)
+        written = _take_csvs(tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            _in_process(argv)
+        assert proc.returncode == code
+        assert _take_csvs(tmp_path) == written
+
+    def test_in_process_main_leaves_the_collector_alone(self):
+        frozen = gc.get_freeze_count()
+        assert _in_process(["scalar", "--rho=0.5", "--gamma=0.1"])[0] == 0
+        assert _in_process(["scalar", "--rho=0.5"])[0] == 2
+        assert _in_process(["verify", "--suite=discrete"])[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_is_the_entry_point(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert ('gausswyner = "gausswyner.cli:entry_point"'
+                in pyproject.read_text(encoding="utf-8").splitlines())
+
+
 def _joined(argv):
     """``argv`` with each flag's value joined to it by "=" """
     out, rest = [], list(argv)
@@ -610,16 +701,10 @@ class TestFuzz:
                 cov.write_text(json.dumps(payload), encoding="utf-8")
             argv = [arg.format(out=Path(tmp, "curve.csv"), cov=cov)
                     for arg in argv]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-        assert code in {0, 2, 3, 4}, (argv, stderr.getvalue())
+            code, stdout, stderr = _in_process(argv)
+        assert code in {0, 2, 3, 4}, (argv, stderr)
         if code == 0 and argv[0] != "curve":
-            json.loads(stdout.getvalue())
+            json.loads(stdout)
 
 
 _NUMPY_AT_EXIT = (

@@ -99,7 +99,7 @@ class TestWaterfillGrid:
 
     @pytest.mark.parametrize("spectrum, gamma, points", [
         ((0.5,), 0.07, 2), ((0.9, 0.5), 0.2, 201),
-        ((0.9, 0.5, 0.2), 0.5, 501)])
+        ((0.9, 0.5, 0.2), 0.5, 501), ((0.9, 0.7, 0.2), 0.00075, 101)])
     def test_prices_each_component_once(self, spectrum, gamma, points,
                                         monkeypatch):
         sizes = []
@@ -116,12 +116,14 @@ class TestWaterfillGrid:
 
     @pytest.mark.parametrize("spectrum, gamma", [
         ((0.9, 0.5), 0.2), ((0.9, 0.5, 0.2), 0.5), ((0.8, 0.8, 0.8), 0.3),
-        ((0.99, 0.3, 0.1), 1.0)])
+        ((0.99, 0.3, 0.1), 1.0), ((0.99, 0.5), 2.4),
+        ((0.99, 0.5, 0.2), 2.2)])
     def test_finds_the_lattice_minimum(self, spectrum, gamma):
         # every split of n parts, each priced and summed from the last
-        # component up, as the folds do
+        # component up, as the folds do; n is 100 below gamma = 2 at this
+        # step, and 120 and 110 in the last two cases
         step = 0.02
-        n = max(1, round(gamma / step))
+        n = max(100, round(gamma / step))
         axis = np.linspace(0.0, gamma, n + 1)
         prices = [oracle._ci_curve(rho, axis) for rho in spectrum]
 
@@ -132,15 +134,38 @@ class TestWaterfillGrid:
                 total = term + total
             return float(total)
 
-        splits = [split for split
-                  in itertools.product(range(n + 1), repeat=len(spectrum))
-                  if sum(split) == n]
+        # the last component takes the parts the others leave
+        splits = [(*head, n - sum(head)) for head
+                  in itertools.product(range(n + 1), repeat=len(spectrum) - 1)
+                  if sum(head) <= n]
         report = oracle.verify_waterfill_grid(spectrum, gamma, step=step)
         assert report.oracle_value == min(map(price, splits))
         argmin = tuple(list(axis).index(g)
                        for g in report.details["grid_argmin"])
         assert sum(argmin) == n
         assert price(argmin) == report.oracle_value
+
+    @pytest.mark.parametrize("spectrum, gamma", [
+        ((0.047072436951203334, 0.047072436951203334), 0.001009930394858843),
+        ((0.9, 0.7, 0.2), 0.00075)])
+    def test_small_budget_gets_a_fine_lattice(self, spectrum, gamma):
+        # round(gamma/step) is 1 cell: the grid put the whole budget on one
+        # component and exceeded the closed form by 0.019 and 0.028
+        report = oracle.verify_waterfill_grid(spectrum, gamma)
+        assert report.passed
+        assert report.oracle_value - report.closed_form_value <= 1e-5
+        assert all(g > 0.0 for g in report.details["grid_argmin"])
+
+    @pytest.mark.parametrize("limit, refused", [(5150, True), (5151, False)])
+    def test_size_guard_counts_the_floor(self, limit, refused, monkeypatch):
+        # three components on 100 cells: 101 * 102 / 2 = 5151 lattice points
+        monkeypatch.setattr(oracle, "_SIMPLEX_MAX_POINTS", limit)
+        args = (0.9, 0.7, 0.2), 0.00075
+        if refused:
+            with pytest.raises(ParameterError, match="points"):
+                oracle.verify_waterfill_grid(*args)
+        else:
+            assert oracle.verify_waterfill_grid(*args).passed
 
     def test_every_suite_instance_has_an_active_component(self):
         # a fully saturated instance has value 0 whatever the water level

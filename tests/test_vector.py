@@ -151,6 +151,14 @@ class TestValidateCov:
                            match="positive semi-definite.*eigenvalue -inf"):
             vector.validate_cov(cov)
 
+    def test_range_bound_past_the_float_range_fails(self):
+        # the dropped row's Frobenius norm overflows: the bound reads inf,
+        # raising no overflow warning, and the exact norm decides
+        cov = JointGaussianCov([[0.0]], [[1e308]], [[1e308]])
+        with pytest.raises(CovarianceError,
+                           match=r"eigenvalue -6\.703904e\+307"):
+            vector.validate_cov(cov)
+
     @pytest.mark.parametrize("kxy, ok", [(0.0, True), (1e-3, False)])
     def test_zero_block_admits_only_zero_cross_covariance(self, kxy, ok):
         cov = JointGaussianCov([[0.0]], [[kxy]], [[1.0]])
