@@ -33,7 +33,6 @@ from .errors import ParameterError
 from .scalar import (
     RHO_CLAMP_BAND,
     _as_float,
-    _common_information,
     _common_informations,
     _mutual_informations,
     _wyner_cis,
@@ -119,11 +118,10 @@ def as_rhos(spectrum) -> tuple[float, ...]:
     descending tuple of correlations in [0, 1]; -0.0 reads as +0.0."""
     if isinstance(spectrum, CanonicalSpectrum):
         return spectrum.rhos  # validated when it was built
-    values = getattr(spectrum, "rhos", spectrum)
     try:
-        raw = tuple(values)  # a tuple, so that the walk can iterate it again
+        raw = tuple(spectrum)  # a tuple, so that the walk can iterate it again
     except TypeError:
-        _reject_non_iterable(values, "canonical correlations")
+        _reject_non_iterable(spectrum, "canonical correlations")
         raise
     try:
         rhos = list(map(float, raw))
@@ -197,7 +195,7 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     caps = tuple(_mutual_informations(rhos))
     total_cap = math.fsum(caps)
     if gamma >= total_cap:
-        return Allocation(caps, _common_information(rhos[0]), 0.0,
+        return Allocation(caps, _common_informations(rhos[:1])[0], 0.0,
                           (True,) * len(rhos), gamma - total_cap)
     for k, cap, tail in zip(*_weakest_first(caps)):
         spend = (gamma - tail) / k

@@ -38,7 +38,7 @@ def _emit(record: dict) -> None:
 
 def _units(args) -> tuple[str, float]:
     """Suffix and divisor for rate fields; conversion happens only here."""
-    if getattr(args, "bits", False):
+    if args.bits:
         return "bits", _LN2
     return "nats", 1.0
 

@@ -19,7 +19,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .scalar import _as_float, validate_correlation
+from .scalar import _LOG_2PIE, _as_float, validate_correlation
 
 __all__ = [
     "GrayWynerPoint",
@@ -28,7 +28,6 @@ __all__ = [
     "dual_objective",
 ]
 
-_LOG_2PIE = math.log(2.0 * math.pi * math.e)
 _LOG_MIN = math.log(sys.float_info.min)
 
 

@@ -6,10 +6,10 @@ covariances, exhaustive grids, golden-section maximization of the dual
 bounds, and exact entropy sums over finite probability tables. Every check
 returns a :class:`CheckReport` carrying the oracle value and the closed-form
 value side by side; :func:`run_suite` runs the published instance table
-used by the command-line ``verify`` subcommand. Grid sizes, sample counts
-and seeds are fixed constants; the simplex ``step`` of
-:func:`verify_waterfill_grid` is the one tuning argument, and a simplex of
-more than ``_SIMPLEX_MAX_POINTS`` points is refused. The simplex search
+used by the command-line ``verify`` subcommand. Grid sizes, sample counts,
+seeds and the simplex step of :func:`verify_waterfill_grid` are fixed
+constants, so no verifier has a tuning argument; a simplex of more than
+``_SIMPLEX_MAX_POINTS`` points is refused. The simplex search
 prices each component once, on one lattice axis, and folds the components
 in one at a time, so its memory grows with the axis, not with the simplex.
 
@@ -51,8 +51,9 @@ _FOUR_PI2E2 = (2.0 * math.pi * math.e) ** 2
 
 _SCALAR_GRID_SIZE = 100_000   # alpha samples of the achievability sweep
 # water-filling simplex points: the published instances use at most 125,751,
-# three components at gamma = 2, step = 1e-3 about 2.0 million
+# three components at gamma = 2 about 2.0 million
 _SIMPLEX_MAX_POINTS = 4_000_000
+_SIMPLEX_STEP = 1e-3          # budget per cell of the water-filling lattice
 # Fewest cells of the water-filling lattice: the level's sqrt(2 gamma) slope
 # at 0 makes a one- or two-cell split of a small budget miss by more than
 # the tolerance
@@ -203,16 +204,15 @@ def _ci_curve(rho: float, gammas):
         scalar.common_information(rho) - (np.log1p(s) + gammas), 0.0)
 
 
-def verify_waterfill_grid(spectrum, gamma: float,
-                          step: float = 1e-3) -> CheckReport:
+def verify_waterfill_grid(spectrum, gamma: float) -> CheckReport:
     """Exhaustive simplex search of the budget split versus ``waterfill``.
 
     Supports 1 to 3 components (the grid blows up combinatorially beyond
     that, and the tensorized structure makes larger spectra redundant for
     verification). The simplex is the lattice of splits into
-    n = max(100, round(gamma/step)) parts: each component is priced once on
-    ``linspace(0, gamma, n + 1)``, and the components are folded in one at
-    a time. A grid of more than
+    n = max(100, round(gamma/step)) parts at the fixed step 1e-3: each
+    component is priced once on ``linspace(0, gamma, n + 1)``, and the
+    components are folded in one at a time. A grid of more than
     ``_SIMPLEX_MAX_POINTS`` points raises ``ParameterError`` before any
     array is built.
 
@@ -229,24 +229,21 @@ def verify_waterfill_grid(spectrum, gamma: float,
     gamma = scalar.validate_budget(gamma)
     if not 1 <= len(rhos) <= 3:
         raise ParameterError("grid oracle supports 1 to 3 components")
-    if rhos and rhos[0] >= 1.0:
+    if rhos[0] >= 1.0:
         raise ParameterError("grid oracle requires rho < 1")
-    step = scalar._as_float(step, "step")
-    # an infinite step would make the tolerance, 10 * step, accept anything
-    if not 0.0 < step < math.inf:
-        raise ParameterError(f"step {step!r} must be positive and finite")
     # n + 1 points per axis, a triangle of them for three components; in
     # floats, so an infinite count compares too
-    per_axis = max(_SIMPLEX_MIN_CELLS, gamma / step) + 1.0
+    per_axis = max(_SIMPLEX_MIN_CELLS, gamma / _SIMPLEX_STEP) + 1.0
     points = (1.0, per_axis, per_axis * (per_axis + 1.0) / 2.0)[len(rhos) - 1]
     if points > _SIMPLEX_MAX_POINTS:
         raise ParameterError(
-            f"simplex of about {points:.3g} points at step {step!r} exceeds "
-            f"{_SIMPLEX_MAX_POINTS}; use a coarser step")
+            f"simplex of about {points:.3g} points exceeds "
+            f"{_SIMPLEX_MAX_POINTS}")
     alloc = allocation.waterfill(rhos, gamma)
 
     # one component has the single split (gamma,): two axis points hold it
-    n = max(_SIMPLEX_MIN_CELLS, round(gamma / step)) if len(rhos) > 1 else 1
+    n = (max(_SIMPLEX_MIN_CELLS, round(gamma / _SIMPLEX_STEP))
+         if len(rhos) > 1 else 1)
     axis = np.linspace(0.0, gamma, n + 1)
     prices = [_ci_curve(rho, axis) for rho in rhos]
     # best[m]: the least price of the components folded in so far at m
@@ -278,7 +275,7 @@ def verify_waterfill_grid(spectrum, gamma: float,
         _ci_curve(rho, np.array([g]))[0]
         for rho, g in zip(rhos, alloc.gammas))) - alloc.total_value
     budget_gap = math.fsum((*alloc.gammas, alloc.slack)) - gamma
-    tolerance = 10.0 * step
+    tolerance = 10.0 * _SIMPLEX_STEP
     passed = (-rounding <= grid_min - alloc.total_value <= tolerance
               and abs(repriced_gap) <= rounding
               and abs(budget_gap) <= rounding)
@@ -289,7 +286,7 @@ def verify_waterfill_grid(spectrum, gamma: float,
         tolerance=tolerance,
         passed=passed,
         details={
-            "step": step,
+            "step": _SIMPLEX_STEP,
             "grid_argmin": argmin,
             "waterfill_gammas": list(alloc.gammas),
             "water_level_beta": alloc.water_level_beta,

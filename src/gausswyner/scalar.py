@@ -81,8 +81,8 @@ def validate_budget(gamma: float) -> float:
 
 # The sequence kernels below hold the closed forms, one list comprehension
 # each, for whole spectra of unchecked arguments: the caller has validated
-# every r = |rho| in [0, 1] and every budget. The single-value kernels and
-# the public functions are calls into them, so each formula is written once.
+# every r = |rho| in [0, 1] and every budget. The public functions index
+# them at one value, so each formula is written once.
 
 def _common_informations(rs) -> list[float]:
     """:func:`common_information` at each r in ``rs``; ``inf`` at r = 1,
@@ -121,27 +121,17 @@ def _wyner_cis(rs, gammas) -> list[float]:
             for c, l in zip(_common_informations(rs), _levels(gammas))]
 
 
-def _common_information(r: float) -> float:
-    """:func:`common_information` at r = |rho| in [0, 1], unchecked."""
-    return _common_informations((r,))[0]
-
-
-def _mutual_information(r: float) -> float:
-    """:func:`mutual_information` at r = |rho| in [0, 1], unchecked."""
-    return _mutual_informations((r,))[0]
-
-
 def common_information(rho: float) -> float:
     """Wyner common information of a Gaussian pair with correlation ``rho``.
 
     Even in |rho| and strictly increasing; returns ``inf`` at |rho| = 1.
     """
-    return _common_information(abs(validate_correlation(rho)))
+    return _common_informations((abs(validate_correlation(rho)),))[0]
 
 
 def mutual_information(rho: float) -> float:
     """Mutual information of the same pair; ``inf`` at |rho| = 1."""
-    return _mutual_information(abs(validate_correlation(rho)))
+    return _mutual_informations((abs(validate_correlation(rho)),))[0]
 
 
 def level_from_budget(x: float) -> float:
@@ -150,12 +140,7 @@ def level_from_budget(x: float) -> float:
     Strictly concave and increasing with value 0 at 0; the inverse of
     :func:`budget_from_level`.
     """
-    return _level_from_budget(validate_budget(x))
-
-
-def _level_from_budget(x: float) -> float:
-    """:func:`level_from_budget` at a checked budget x >= 0, unchecked."""
-    return _levels((x,))[0]
+    return _levels((validate_budget(x),))[0]
 
 
 def budget_from_level(beta: float) -> float:
@@ -186,13 +171,8 @@ def wyner_ci_scalar(rho: float, gamma: float) -> float:
     gamma >= mutual_information(rho); ``inf`` when |rho| = 1 and gamma is
     finite.
     """
-    return _wyner_ci(abs(validate_correlation(rho)), validate_budget(gamma))
-
-
-def _wyner_ci(r: float, gamma: float) -> float:
-    """:func:`wyner_ci_scalar` at r = |rho| in [0, 1] and a checked budget,
-    unchecked."""
-    return _wyner_cis((r,), (gamma,))[0]
+    return _wyner_cis((abs(validate_correlation(rho)),),
+                      (validate_budget(gamma),))[0]
 
 
 class AchievabilityParams(NamedTuple):
@@ -229,7 +209,7 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
     if not 0.0 <= rho < 1.0:
         raise ParameterError(
             f"construction requires 0 <= rho < 1, got {rho!r}")
-    cap = _mutual_information(rho)
+    cap = _mutual_informations((rho,))[0]
     if gamma > cap + 1e-12:
         raise ParameterError(
             f"budget {gamma!r} exceeds the pair's mutual information {cap!r}")
@@ -258,7 +238,7 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
     if math.isnan(mu) or mu <= 1.0:
         raise ParameterError(f"dual variable {mu!r} must be > 1")
     if math.isinf(mu):
-        return _common_information(r) if gamma == 0.0 else -math.inf
+        return _common_informations((r,))[0] if gamma == 0.0 else -math.inf
     joint_entropy = _LOG_2PIE + 0.5 * math.log1p(-r * r)
     envelope = _LOG_2PIE + 0.5 * math.log(
         (1.0 - r) ** 2 * (mu + 1.0) / (mu - 1.0))

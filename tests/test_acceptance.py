@@ -85,7 +85,7 @@ def test_criterion_4_waterfill_oracle():
     for rhos in spectra:
         caps = [scalar.mutual_information(r) for r in rhos]
         for gamma in (0.1, 0.5, 1.0, 2.0):
-            report = oracle.verify_waterfill_grid(rhos, gamma, step=1e-3)
+            report = oracle.verify_waterfill_grid(rhos, gamma)
             assert report.passed, report
             worst = max(worst,
                         abs(report.oracle_value - report.closed_form_value))

@@ -225,7 +225,7 @@ class TestOptimality:
     def test_minkowski_sum_consistency(self):
         # two components: a fine one-dimensional split search agrees
         from gausswyner import oracle
-        report = oracle.verify_waterfill_grid((0.7, 0.4), 0.3, step=1e-4)
+        report = oracle.verify_waterfill_grid((0.7, 0.4), 0.3)
         assert abs(report.oracle_value - report.closed_form_value) <= 1e-3
 
     def test_concentrating_budget_is_suboptimal(self):

@@ -235,6 +235,14 @@ class TestVectorCommand:
         assert out == ""
         assert "dim_x must be a whole number" in err
 
+    def test_json_array_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cov.json"
+        path.write_text("[[1.0, 0.5], [0.5, 1.0]]")
+        code, out, err = run_cli(capsys, "vector", "--input", str(path),
+                                 "--gamma", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: covariance file must contain a JSON object\n"
+
     def test_wrong_keys_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sigma": [[1.0]]}))
@@ -279,6 +287,15 @@ class TestCurveCommand:
                              "--gamma-max", "0.1", "--steps", "1",
                              "--output", str(tmp_path / "x.csv"))
         assert code == 2
+
+    def test_infinite_gamma_max_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "curve.csv"
+        code, out, err = run_cli(capsys, "curve", "--rho=0.5",
+                                 "--gamma-max=inf", "--steps=4",
+                                 f"--output={out_path}")
+        assert (code, out) == (2, "")
+        assert err == "error: gamma-max must be finite\n"
+        assert not out_path.exists()
 
     def test_unwritable_path_exits_4(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "curve", "--rho", "0.5",
@@ -510,13 +527,17 @@ class TestExitPath:
         (["vector", "--input={indefinite}", "--gamma=0.2"], 3),
         (["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
           "--output={tmp}/missing/curve.csv"], 4),
+        (["vector", "--input={cov}", "--gamma=0.1"], 0),
     ])
     def test_process_matches_in_process_main(self, tmp_path, argv, code):
         indefinite = tmp_path / "indefinite.json"
         indefinite.write_text(json.dumps({"kx": [[1, 0], [0, 1]],
                                           "ky": [[1, 0], [0, 1]],
                                           "kxy": [[1.3, 0], [0, 0.5]]}))
-        argv = [arg.format(tmp=tmp_path, indefinite=indefinite)
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
+                                   "dim_x": 1}))
+        argv = [arg.format(tmp=tmp_path, indefinite=indefinite, cov=cov)
                 for arg in argv]
         proc = subprocess.run([sys.executable, "-m", "gausswyner", *argv],
                               capture_output=True, text=True)
@@ -773,7 +794,8 @@ class TestColdStart:
         loaded = _loaded_at_exit(
             "-c", _LOADED_AT_EXIT + "import gausswyner.cli")
         assert "gausswyner.cli" in loaded
-        assert not (set(_HEAVY) & loaded) - baseline
+        assert not ((set(_HEAVY) | {"gausswyner.graywyner"}) & loaded) \
+            - baseline
 
     def test_oracle_import_loads_no_dataclasses(self, baseline):
         loaded = _loaded_at_exit(
@@ -822,6 +844,17 @@ class TestColdStart:
             "__version__", "CovarianceError", "GausswynerError",
             "ParameterError"}
 
+    def test_vector_names_resolve_on_access(self):
+        namespace = {}
+        exec("from gausswyner import *", namespace)
+        assert set(gausswyner.__all__) <= namespace.keys()
+        from gausswyner import vector
+        assert gausswyner.wyner_ci_vector is vector.wyner_ci_vector
+        assert namespace["JointGaussianCov"] is vector.JointGaussianCov
+        assert set(gausswyner.__all__) <= set(dir(gausswyner))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gausswyner.no_such_name
+
 
 class TestLazyNumpy:
     @pytest.mark.parametrize("argv", [
@@ -857,31 +890,3 @@ class TestLazyNumpy:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
-
-    def test_vector_and_verify_still_run(self, tmp_path):
-        path = tmp_path / "cov.json"
-        path.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
-                                    "dim_x": 1}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gausswyner", "vector",
-             f"--input={path}", "--gamma=0.1"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["value_nats"] == pytest.approx(
-            0.0946030591935194, abs=1e-9)
-        proc = subprocess.run(
-            [sys.executable, "-m", "gausswyner", "verify", "--suite=scalar"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["all_passed"] is True
-
-    def test_vector_names_resolve_on_access(self):
-        namespace = {}
-        exec("from gausswyner import *", namespace)
-        assert set(gausswyner.__all__) <= namespace.keys()
-        from gausswyner import vector
-        assert gausswyner.wyner_ci_vector is vector.wyner_ci_vector
-        assert namespace["JointGaussianCov"] is vector.JointGaussianCov
-        assert set(gausswyner.__all__) <= set(dir(gausswyner))
-        with pytest.raises(AttributeError, match="no_such_name"):
-            gausswyner.no_such_name

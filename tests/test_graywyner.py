@@ -166,6 +166,10 @@ class TestDualObjective:
             assert derivative >= 0.0
             assert derivative == pytest.approx(analytic, rel=1e-4)
 
+    def test_rejects_degenerate_rho(self):
+        with pytest.raises(ParameterError, match=r"\|rho\| < 1"):
+            dual_objective(1.0, 0.5, 0.0, 0.75)
+
     def test_rejects_nu_outside_half_one(self):
         with pytest.raises(ParameterError):
             dual_objective(0.5, 0.3, 0.0, 0.5)

@@ -1,7 +1,6 @@
 """The verifiers themselves: spec examples per oracle, plus report shape."""
 
 import inspect
-import itertools
 import math
 import textwrap
 import time
@@ -75,12 +74,12 @@ class TestDualBoundSweep:
 
 class TestWaterfillGrid:
     def test_two_component_instance(self):
-        report = oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=1e-3)
+        report = oracle.verify_waterfill_grid((0.9, 0.2), 1.0)
         assert report.passed
         assert abs(report.oracle_value - report.closed_form_value) <= 1e-2
 
     def test_symmetric_pair_optimum_at_even_split(self):
-        report = oracle.verify_waterfill_grid((0.8, 0.8), 0.2, step=1e-3)
+        report = oracle.verify_waterfill_grid((0.8, 0.8), 0.2)
         assert report.passed
         g1, g2 = report.details["grid_argmin"]
         assert g1 == pytest.approx(0.1, abs=1e-3)
@@ -89,12 +88,12 @@ class TestWaterfillGrid:
     def test_single_component_is_exact(self):
         # the simplex is a point: the grid prices the whole budget on the
         # one component, and waterfill's exact level differs only by rounding
-        report = oracle.verify_waterfill_grid((0.5,), 0.07, step=1e-3)
+        report = oracle.verify_waterfill_grid((0.5,), 0.07)
         assert report.passed
         assert abs(report.oracle_value - report.closed_form_value) <= 1e-10
 
     def test_three_components(self):
-        report = oracle.verify_waterfill_grid((0.9, 0.5, 0.2), 0.5, step=1e-3)
+        report = oracle.verify_waterfill_grid((0.9, 0.5, 0.2), 0.5)
         assert report.passed
 
     @pytest.mark.parametrize("spectrum, gamma, points", [
@@ -117,13 +116,14 @@ class TestWaterfillGrid:
     @pytest.mark.parametrize("spectrum, gamma", [
         ((0.9, 0.5), 0.2), ((0.9, 0.5, 0.2), 0.5), ((0.8, 0.8, 0.8), 0.3),
         ((0.99, 0.3, 0.1), 1.0), ((0.99, 0.5), 2.4),
-        ((0.99, 0.5, 0.2), 2.2)])
+        ((0.99, 0.5, 0.2), 2.2), ((0.9, 0.5), 0.1), ((0.9, 0.5, 0.2), 0.05)])
     def test_finds_the_lattice_minimum(self, spectrum, gamma):
         # every split of n parts, each priced and summed from the last
-        # component up, as the folds do; n is 100 below gamma = 2 at this
-        # step, and 120 and 110 in the last two cases
-        step = 0.02
-        n = max(100, round(gamma / step))
+        # component up, as the folds do; n is round(gamma / 1e-3), and 100
+        # in the last two cases. Every component saturates at gamma = 2.4
+        # and 2.2. A row of splits that share the first component's parts
+        # is summed at once: numpy adds float64 as Python adds floats.
+        n = max(100, round(gamma / 1e-3))
         axis = np.linspace(0.0, gamma, n + 1)
         prices = [oracle._ci_curve(rho, axis) for rho in spectrum]
 
@@ -135,11 +135,14 @@ class TestWaterfillGrid:
             return float(total)
 
         # the last component takes the parts the others leave
-        splits = [(*head, n - sum(head)) for head
-                  in itertools.product(range(n + 1), repeat=len(spectrum) - 1)
-                  if sum(head) <= n]
-        report = oracle.verify_waterfill_grid(spectrum, gamma, step=step)
-        assert report.oracle_value == min(map(price, splits))
+        rows = []
+        for first in range(n + 1) if len(spectrum) == 3 else (None,):
+            left = n if first is None else n - first
+            middle = np.arange(left + 1)
+            row = prices[-2][middle] + prices[-1][left - middle]
+            rows.append(row if first is None else prices[0][first] + row)
+        report = oracle.verify_waterfill_grid(spectrum, gamma)
+        assert report.oracle_value == min(float(row.min()) for row in rows)
         argmin = tuple(list(axis).index(g)
                        for g in report.details["grid_argmin"])
         assert sum(argmin) == n
@@ -433,11 +436,6 @@ PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
     lambda: oracle.verify_envelope_grid("a", 0.3),
     lambda: oracle.verify_envelope_grid(0.5, "a"),
     lambda: oracle.dsbs_construction_check("a"),
-    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step="a"),
-    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=math.nan),
-    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=math.inf),
-    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=0.0),
-    lambda: oracle.verify_waterfill_grid((0.9, 0.2), 1.0, step=-1e-3),
     lambda: oracle.discrete_mutual_information(PMF_2X2, (0.5,), (1,)),
     lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), ("1",)),
     lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), (2,)),
@@ -448,8 +446,7 @@ PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
     lambda: oracle.discrete_mutual_information([[0.5, math.nan], [0.0, 0.5]],
                                                (0,), (1,)),
 ], ids=["scalar-rho-str", "scalar-rho-nan", "envelope-rho-str",
-        "envelope-lam-str", "dsbs-str", "step-str", "step-nan", "step-inf",
-        "step-zero", "step-negative", "axis-float", "axis-str",
+        "envelope-lam-str", "dsbs-str", "axis-float", "axis-str",
         "axis-out-of-range", "axis-bare-int", "pmf-str", "pmf-ragged",
         "pmf-nan"])
 def test_invalid_input_raises_parameter_error(call):

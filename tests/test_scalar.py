@@ -104,9 +104,9 @@ class TestKernels:
                               1.0 - 2.0 ** -53]))
     def test_equal_public_functions_bit_for_bit(self, r):
         # -0.0 is in the set: the kernels give +0.0 there, as at 0.0
-        assert scalar._common_information(r).hex() == \
+        assert scalar._common_informations((r,))[0].hex() == \
             scalar.common_information(r).hex()
-        assert scalar._mutual_information(r).hex() == \
+        assert scalar._mutual_informations((r,))[0].hex() == \
             scalar.mutual_information(r).hex()
 
     @given(r=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324]),
@@ -114,9 +114,9 @@ class TestKernels:
            | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf]))
     def test_budget_kernels_equal_public_functions_bit_for_bit(self, r,
                                                                gamma):
-        assert scalar._level_from_budget(gamma).hex() == \
+        assert scalar._levels((gamma,))[0].hex() == \
             scalar.level_from_budget(gamma).hex()
-        assert scalar._wyner_ci(r, gamma).hex() == \
+        assert scalar._wyner_cis((r,), (gamma,))[0].hex() == \
             scalar.wyner_ci_scalar(r, gamma).hex()
 
 
@@ -155,7 +155,7 @@ class TestNegativeZeroBudget:
 
     def test_level_is_positive_zero(self):
         assert _positive_zero(scalar.level_from_budget(-0.0))
-        assert _positive_zero(scalar._level_from_budget(-0.0))
+        assert _positive_zero(scalar._levels((-0.0,))[0])
 
     @pytest.mark.parametrize("rho", [0.5, 0.0, -0.0, 0.999999])
     @pytest.mark.parametrize("gamma", [0.0, -0.0])
@@ -192,6 +192,14 @@ class TestTransferCurves:
 
     def test_budget_at_zero(self):
         assert scalar.budget_from_level(0.0) == 0.0
+
+    def test_budget_at_infinite_level_is_infinite(self):
+        assert scalar.budget_from_level(math.inf) == math.inf
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan])
+    def test_budget_rejects_negative_or_nan_level(self, beta):
+        with pytest.raises(ParameterError, match="water level"):
+            scalar.budget_from_level(beta)
 
     @pytest.mark.parametrize("x", [0.01, 0.1, 1.0])
     def test_round_trip(self, x):
@@ -384,6 +392,11 @@ class TestDual:
             mu = 1.0 / rho + rng.uniform(0.0, 10.0)
             assert scalar.dual_objective(rho, gamma, mu) <= \
                 scalar.wyner_ci_scalar(rho, gamma) + 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_rejects_rho_at_zero_or_one(self, rho):
+        with pytest.raises(ParameterError, match=r"0 < \|rho\| < 1"):
+            scalar.dual_objective(rho, 0.1, 2.0)
 
     def test_rejects_mu_at_most_one(self):
         with pytest.raises(ParameterError):

@@ -205,6 +205,11 @@ class TestPinvSqrt:
         with pytest.raises(CovarianceError, match="symmetric"):
             vector.pinv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
+    def test_rejects_non_square_or_empty(self, shape):
+        with pytest.raises(ParameterError, match="square and non-empty"):
+            vector.pinv_sqrt(np.ones(shape))
+
 
 class TestCanonicalCorrelations:
     def test_scalar_reduction(self):
@@ -281,7 +286,7 @@ class TestWynerCiVector:
         from gausswyner import oracle
         cov = JointGaussianCov(np.eye(2), np.diag([0.9, 0.2]), np.eye(2))
         result = vector.wyner_ci_vector(cov, 1.0)
-        report = oracle.verify_waterfill_grid(result.spectrum, 1.0, step=1e-3)
+        report = oracle.verify_waterfill_grid(result.spectrum, 1.0)
         assert abs(report.oracle_value - result.value_nats) <= 1e-4
 
     def test_padding_with_independent_component_is_invariant(self):
