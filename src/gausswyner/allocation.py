@@ -118,14 +118,8 @@ def as_rhos(spectrum) -> tuple[float, ...]:
     descending tuple of correlations in [0, 1]; -0.0 reads as +0.0."""
     if isinstance(spectrum, CanonicalSpectrum):
         return spectrum.rhos  # validated when it was built
-    try:
-        raw = tuple(spectrum)  # a tuple, so that the walk can iterate it again
-    except TypeError:
-        _reject_non_iterable(spectrum, "canonical correlations")
-        raise
-    try:
-        rhos = list(map(float, raw))
-    except (TypeError, ValueError, OverflowError):
+    raw, rhos = _floats(spectrum, "canonical correlations")
+    if rhos is None:
         return _checked_rhos(raw)
     if not rhos:
         return ()
@@ -142,13 +136,24 @@ def as_rhos(spectrum) -> tuple[float, ...]:
     return tuple(rhos)
 
 
-def _reject_non_iterable(values, what: str) -> None:
-    """Raise a :class:`ParameterError` if ``values`` is not iterable."""
+def _floats(values, what: str) -> tuple[tuple, list[float] | None]:
+    """``values`` read once into a tuple, so that a per-element walk can
+    iterate it again, and that tuple as a list of floats, or None when an
+    entry does not convert. Raises :class:`ParameterError` if ``values`` is
+    not iterable; a ``TypeError`` raised while iterating is its own."""
     try:
-        iter(values)
+        raw = tuple(values)  # the same object when values is a tuple
     except TypeError:
-        raise ParameterError(f"expected an iterable of {what}, "
-                             f"got {type(values).__name__}") from None
+        try:
+            iter(values)
+        except TypeError:
+            raise ParameterError(f"expected an iterable of {what}, "
+                                 f"got {type(values).__name__}") from None
+        raise
+    try:
+        return raw, list(map(float, raw))
+    except (TypeError, ValueError, OverflowError):
+        return raw, None
 
 
 def _checked_rhos(raw) -> tuple[float, ...]:
@@ -262,22 +267,14 @@ def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
     per component; each budget is checked once.
     """
     rhos = as_rhos(spectrum)
-    try:
-        size = len(gammas)
-    except TypeError:  # an iterator of budgets, or not iterable at all
-        _reject_non_iterable(gammas, "budgets")
-        gammas = tuple(gammas)
-        size = len(gammas)
-    if size != len(rhos):
-        raise ParameterError(f"got {size} budgets for {len(rhos)} components")
+    raw, budgets = _floats(gammas, "budgets")
+    if len(raw) != len(rhos):
+        raise ParameterError(
+            f"got {len(raw)} budgets for {len(rhos)} components")
     # Whole-sequence test, as in as_rhos: NaN-free floats >= 0 pass. Anything
     # else is checked again one budget at a time, which raises the first
     # offending budget's error.
-    try:
-        budgets = list(map(float, gammas))
-    except (TypeError, ValueError, OverflowError):
-        budgets = None
     if (budgets is None or math.isnan(sum(budgets))
             or min(budgets, default=0.0) < 0.0):
-        budgets = list(map(validate_budget, gammas))
+        budgets = list(map(validate_budget, raw))
     return math.fsum(_wyner_cis(rhos, budgets))

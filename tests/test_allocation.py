@@ -135,14 +135,17 @@ class TestWaterfill:
             call(*args)
 
     def test_keeps_a_type_error_raised_while_iterating(self):
-        # only a spectrum that is not iterable at all is rejected as input;
-        # an iterator that fails on its own keeps its error
+        # only a spectrum or budgets that are not iterable at all are
+        # rejected as input; an iterator that fails on its own keeps its
+        # error
         def broken():
             yield 0.5
             raise TypeError("broken iterator")
 
         with pytest.raises(TypeError, match="^broken iterator$"):
             waterfill(broken(), 0.1)
+        with pytest.raises(TypeError, match="^broken iterator$"):
+            evaluate_allocation([0.9, 0.5], broken())
 
     def test_accepts_an_iterator(self):
         assert waterfill(iter([0.9, 0.5]), 0.1) == waterfill([0.9, 0.5], 0.1)
@@ -248,6 +251,10 @@ class TestEvaluateAllocation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
             evaluate_allocation([0.9, 0.2], [0.1])
+        # the count is checked before any budget
+        with pytest.raises(ParameterError,
+                           match="^got 3 budgets for 2 components$"):
+            evaluate_allocation([0.9, 0.2], [0.1, "x", 0.1])
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ParameterError):

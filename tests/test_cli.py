@@ -6,10 +6,12 @@ import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -454,28 +456,6 @@ class TestVerifyCommand:
         assert json.loads(out)["all_passed"] is False
 
 
-class TestEntryPoint:
-    def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gausswyner", "scalar", "--rho", "0.5",
-             "--gamma", "0.1"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        record = json.loads(proc.stdout)
-        assert record["value_nats"] == pytest.approx(0.0946030591935194,
-                                                     abs=1e-9)
-
-
-# Prints the collector's count of frozen objects once the entry point has
-# returned and the interpreter has begun to exit.
-_FROZEN_AT_EXIT = (
-    "import atexit, gc, runpy, sys\n"
-    "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
-    "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
-    "runpy.run_module('gausswyner', run_name='__main__')\n"
-)
-
-
 def _in_process(argv):
     """Exit code, stdout and stderr of ``cli.main(argv)`` in this process."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -495,69 +475,6 @@ def _take_csvs(folder):
         taken[path.name] = path.read_bytes()
         path.unlink()
     return taken
-
-
-class TestExitPath:
-    """A ``gausswyner`` process runs ``cli.entry_point``, which freezes the
-    collector on the way out, so that teardown's collections skip the
-    objects it is about to free. Nothing a caller sees changes: each exit
-    code, stdout and stderr is that of an in-process ``cli.main`` call."""
-
-    @pytest.mark.parametrize("argv", [
-        ["scalar", "--rho=0.5", "--gamma=0.1"],
-        ["vector", "--input={cov}", "--gamma=0.1"],
-        ["verify", "--suite=discrete"],
-    ])
-    def test_collector_is_frozen_at_exit(self, tmp_path, argv):
-        cov = tmp_path / "cov.json"
-        cov.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
-                                   "dim_x": 1}))
-        argv = [arg.format(cov=cov) for arg in argv]
-        proc = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *argv],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stderr.splitlines()[-1]) > 0
-
-    @pytest.mark.parametrize("argv, code", [
-        (["scalar", "--rho=0.5", "--gamma=0.1"], 0),
-        (["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
-          "--output={tmp}/curve.csv"], 0),
-        (["scalar", "--rho=0.5"], 2),                   # argparse
-        (["scalar", "--rho=2", "--gamma=0.1"], 2),      # ParameterError
-        (["vector", "--input={indefinite}", "--gamma=0.2"], 3),
-        (["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
-          "--output={tmp}/missing/curve.csv"], 4),
-        (["vector", "--input={cov}", "--gamma=0.1"], 0),
-    ])
-    def test_process_matches_in_process_main(self, tmp_path, argv, code):
-        indefinite = tmp_path / "indefinite.json"
-        indefinite.write_text(json.dumps({"kx": [[1, 0], [0, 1]],
-                                          "ky": [[1, 0], [0, 1]],
-                                          "kxy": [[1.3, 0], [0, 0.5]]}))
-        cov = tmp_path / "cov.json"
-        cov.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
-                                   "dim_x": 1}))
-        argv = [arg.format(tmp=tmp_path, indefinite=indefinite, cov=cov)
-                for arg in argv]
-        proc = subprocess.run([sys.executable, "-m", "gausswyner", *argv],
-                              capture_output=True, text=True)
-        written = _take_csvs(tmp_path)
-        assert (proc.returncode, proc.stdout, proc.stderr) == \
-            _in_process(argv)
-        assert proc.returncode == code
-        assert _take_csvs(tmp_path) == written
-
-    def test_in_process_main_leaves_the_collector_alone(self):
-        frozen = gc.get_freeze_count()
-        assert _in_process(["scalar", "--rho=0.5", "--gamma=0.1"])[0] == 0
-        assert _in_process(["scalar", "--rho=0.5"])[0] == 2
-        assert _in_process(["verify", "--suite=discrete"])[0] == 0
-        assert gc.get_freeze_count() == frozen
-
-    def test_console_script_is_the_entry_point(self):
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        assert ('gausswyner = "gausswyner.cli:entry_point"'
-                in pyproject.read_text(encoding="utf-8").splitlines())
 
 
 def _joined(argv):
@@ -728,24 +645,52 @@ class TestFuzz:
             json.loads(stdout)
 
 
-_NUMPY_AT_EXIT = (
-    "import runpy, sys\n"
-    "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
-    "try:\n"
-    "    runpy.run_module('gausswyner', run_name='__main__')\n"
-    "finally:\n"
-    "    print('numpy' in sys.modules, file=sys.stderr)\n"
-)
+# The exit-report hook, installed as ``sitecustomize`` in each interpreter
+# that _process starts. Once the interpreter has begun to exit, it writes the
+# collector's frozen-object count and the names of the loaded modules to the
+# file that the environment variable names, so the command's stdout and
+# stderr stay its own.
+_REPORT_TO = "GAUSSWYNER_TEST_EXIT_REPORT"
+_EXIT_REPORT_HOOK = f"""\
+import atexit, gc, os, sys
+
+
+def report(path):
+    with open(path, "w", encoding="utf-8") as file:
+        print(gc.get_freeze_count(), *sorted(sys.modules), file=file)
+
+
+atexit.register(report, os.environ["{_REPORT_TO}"])
+"""
+
+
+class _Run(NamedTuple):
+    code: int
+    stdout: str
+    stderr: str
+    frozen: int  # the collector's frozen-object count at exit
+    loaded: set  # the modules loaded at exit
+
+
+def _process(*args):
+    """``python *args`` in a fresh interpreter, under the exit-report hook."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "sitecustomize.py").write_text(_EXIT_REPORT_HOOK,
+                                                 encoding="utf-8")
+        report = Path(tmp, "report")
+        env = {**os.environ, _REPORT_TO: str(report),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [tmp, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env)
+        frozen, *loaded = report.read_text(encoding="utf-8").split()
+    return _Run(proc.returncode, proc.stdout, proc.stderr, int(frozen),
+                set(loaded))
 
 
 # Modules a numpy-free command must not load: numpy, dataclasses and the
 # inspect it pulls in, and the allocation module none of them calls.
-_HEAVY = ("numpy", "dataclasses", "inspect", "gausswyner.allocation")
-# Prints the names without json, so that a test can see whether json loads.
-_LOADED_AT_EXIT = (
-    "import atexit, sys\n"
-    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
-)
+_HEAVY = {"numpy", "dataclasses", "inspect", "gausswyner.allocation"}
 # Modules a command must not load either, because it does not run them.
 _UNUSED = {"scalar": {"gausswyner.graywyner"},
            "curve": {"gausswyner.graywyner", "json"},
@@ -754,139 +699,245 @@ _UNUSED = {"scalar": {"gausswyner.graywyner"},
 _ONE_NAME_OF = {module: name
                 for name, module in gausswyner._MODULE_OF.items()}
 
+# Each ``python -m gausswyner`` command that a process test runs, by name:
+# its argv, its exit code and whether it loads numpy. ``{tmp}``, ``{cov}``
+# and ``{indefinite}`` name the folder of the ``command`` fixture and the
+# two covariance files in it.
+_COMMANDS = {
+    "scalar": (["scalar", "--rho=0.5", "--gamma=0.1"], 0, False),
+    "graywyner": (["graywyner", "--rho=0.5", "--delta=0.75", "--alpha=0"],
+                  0, False),
+    "curve": (["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
+               "--output={tmp}/curve.csv"], 0, False),
+    "verify-graywyner": (["verify", "--suite=graywyner"], 0, False),
+    "verify-discrete": (["verify", "--suite=discrete"], 0, False),
+    "vector": (["vector", "--input={cov}", "--gamma=0.1"], 0, True),
+    "verify-scalar": (["verify", "--suite=scalar"], 0, True),
+    "verify-waterfill": (["verify", "--suite=waterfill"], 0, True),
+    "verify-envelope": (["verify", "--suite=envelope"], 0, True),
+    "argparse-error": (["scalar", "--rho=0.5"], 2, False),
+    "parameter-error": (["scalar", "--rho=2", "--gamma=0.1"], 2, False),
+    "indefinite-vector": (["vector", "--input={indefinite}", "--gamma=0.2"],
+                          3, True),
+    "unwritable-curve": (["curve", "--rho=0.5", "--gamma-max=0.1",
+                          "--steps=4", "--output={tmp}/missing/curve.csv"],
+                         4, False),
+}
+# Passes a CanonicalSpectrum to gausswyner.waterfill and runs the rest of
+# the allocation module.
+_ALLOCATION_RUN = (
+    "import gausswyner\n"
+    "from gausswyner import allocation\n"
+    "spectrum = gausswyner.CanonicalSpectrum((0.9, 0.5, 0.0))\n"
+    "alloc = gausswyner.waterfill(spectrum, 0.1)\n"
+    "allocation.saturation_breakpoints((0.9, 0.5, 0.0))\n"
+    "allocation.evaluate_allocation((0.9, 0.5, 0.0), alloc.gammas)\n")
 
-def _loaded_at_exit(*argv):
-    """Modules loaded when ``python`` exits after running ``argv``."""
-    proc = subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+
+def _argv(*names):
+    return [_COMMANDS[name][0] for name in names]
+
+
+class _Command(NamedTuple):
+    argv: list          # the command line as run
+    run: _Run           # its ``python -m gausswyner`` process
+    written: dict       # the CSV files that process wrote
+    main: tuple         # exit code, stdout and stderr of ``cli.main(argv)``
+    main_written: dict  # the CSV files that call wrote
+
+
+@pytest.fixture(scope="module")
+def command(tmp_path_factory):
+    """The ``_Command`` of an argv from ``_COMMANDS``. Its process starts
+    once in this module, so every test that checks a command reads the
+    same run."""
+    folder = tmp_path_factory.mktemp("commands")
+    cov = folder / "cov.json"
+    cov.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
+                               "dim_x": 1}))
+    indefinite = folder / "indefinite.json"
+    indefinite.write_text(json.dumps({"kx": [[1, 0], [0, 1]],
+                                      "ky": [[1, 0], [0, 1]],
+                                      "kxy": [[1.3, 0], [0, 0.5]]}))
+    commands = {}
+
+    def command(argv):
+        argv = [arg.format(tmp=folder, cov=cov, indefinite=indefinite)
+                for arg in argv]
+        if tuple(argv) not in commands:
+            run = _process("-m", "gausswyner", *argv)
+            written = _take_csvs(folder)
+            commands[tuple(argv)] = _Command(argv, run, written,
+                                             _in_process(argv),
+                                             _take_csvs(folder))
+        return commands[tuple(argv)]
+
+    return command
+
+
+@pytest.fixture(scope="module")
+def spawned():
+    """``_process(*args)``, started once per ``args`` in this module."""
+    runs = {}
+
+    def spawned(*args):
+        if args not in runs:
+            runs[args] = _process(*args)
+        return runs[args]
+
+    return spawned
+
+
+@pytest.fixture(scope="module")
+def baseline(spawned):
+    """The modules that ``python -c pass`` loads under the same hook."""
+    return spawned("-c", "pass").loaded
+
+
+def _matches_main(cmd):
+    """Whether a process gave the bytes of its in-process ``cli.main``."""
+    return cmd.run[:3] == cmd.main and cmd.written == cmd.main_written
 
 
 class TestColdStart:
-    """The closed-form commands and the verify suites that build no grid
-    import only what they run. The loaded set is compared with that of
-    ``python -c pass`` on the same interpreter, so what ``site`` preloads
-    does not count."""
+    """Each ``python -m gausswyner`` command runs once, in a fresh
+    interpreter, and that one run is checked for:
 
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return _loaded_at_exit("-c", _LOADED_AT_EXIT)
+    - its bytes: the exit code, stdout, stderr and written CSV files are
+      those of an in-process ``cli.main`` call;
+    - its exit: ``cli.entry_point`` has frozen the collector, so that
+      teardown's collections skip the objects it is about to free;
+    - its imports: a numpy-free command loads nothing it does not run, and a
+      numpy command loads numpy but not ``numpy.ma``.
 
-    @pytest.mark.parametrize("argv", [
-        ["scalar", "--rho=0.5", "--gamma=0.1"],
-        ["graywyner", "--rho=0.5", "--delta=0.75", "--alpha=0"],
-        ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
-         "--output={out}"],
-        ["verify", "--suite=graywyner"],
-        ["verify", "--suite=discrete"],
-    ])
-    def test_closed_form_commands(self, tmp_path, baseline, argv):
-        argv = [arg.format(out=tmp_path / "curve.csv") for arg in argv]
-        code = (_LOADED_AT_EXIT + "import runpy\n"
-                "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
-                "runpy.run_module('gausswyner', run_name='__main__')\n")
-        loaded = _loaded_at_exit("-c", code, *argv)
+    Loaded modules are compared with those of ``python -c pass`` under the
+    same hook, so what ``site`` preloads does not count. The tests of
+    ``TestExitPath``, ``TestEntryPoint`` and ``TestLazyNumpy`` read the same
+    runs."""
+
+    @pytest.mark.parametrize("argv, code, numpy", list(_COMMANDS.values()),
+                             ids=list(_COMMANDS))
+    def test_command(self, command, baseline, argv, code, numpy):
+        cmd = command(argv)
+        assert _matches_main(cmd)
+        assert cmd.run.code == code
+        assert cmd.run.frozen > 0
+        loaded = cmd.run.loaded - baseline
         assert "gausswyner.cli" in loaded
-        assert not ((set(_HEAVY) | _UNUSED[argv[0]]) & loaded) - baseline
+        if numpy:
+            assert "numpy" in loaded
+            assert "numpy.ma" not in loaded
+        else:
+            assert not (_HEAVY | _UNUSED[argv[0]]) & loaded
 
-    def test_cli_import(self, baseline):
-        loaded = _loaded_at_exit(
-            "-c", _LOADED_AT_EXIT + "import gausswyner.cli")
+    @pytest.mark.parametrize("argv", _argv(
+        "scalar", "graywyner", "curve", "verify-graywyner",
+        "verify-discrete"))
+    def test_closed_form_commands(self, command, baseline, argv):
+        run = command(argv).run
+        assert run.code == 0, run.stderr
+        loaded = run.loaded - baseline
         assert "gausswyner.cli" in loaded
-        assert not ((set(_HEAVY) | {"gausswyner.graywyner"}) & loaded) \
-            - baseline
+        assert not (_HEAVY | _UNUSED[argv[0]]) & loaded
 
-    def test_oracle_import_loads_no_dataclasses(self, baseline):
-        loaded = _loaded_at_exit(
-            "-c", _LOADED_AT_EXIT + "import gausswyner.oracle")
-        assert "gausswyner.oracle" in loaded
-        assert not (set(_HEAVY) & loaded) - baseline
+    def test_cli_import(self, spawned, baseline):
+        run = spawned("-c", "import gausswyner.cli")
+        assert run.code == 0, run.stderr
+        assert "gausswyner.cli" in run.loaded
+        assert not (_HEAVY | {"gausswyner.graywyner"}) & (run.loaded
+                                                          - baseline)
 
-    def test_package_import_loads_only_errors(self):
-        loaded = _loaded_at_exit("-c", _LOADED_AT_EXIT + "import gausswyner")
-        assert {name for name in loaded
-                if name.startswith("gausswyner.")} == {"gausswyner.errors"}
+    def test_oracle_import_loads_no_dataclasses(self, spawned, baseline):
+        run = spawned("-c", "import gausswyner.oracle")
+        assert run.code == 0, run.stderr
+        assert "gausswyner.oracle" in run.loaded
+        assert not _HEAVY & (run.loaded - baseline)
 
-    @pytest.mark.parametrize("module", sorted(_ONE_NAME_OF))
-    def test_module_loads_on_first_access(self, baseline, module):
-        loaded = _loaded_at_exit(
-            "-c", _LOADED_AT_EXIT + "import gausswyner\n"
-            f"assert 'gausswyner.{module}' not in sys.modules\n"
-            f"gausswyner.{_ONE_NAME_OF[module]}\n")
-        assert f"gausswyner.{module}" in loaded
-        assert ("numpy" in loaded - baseline) == (module == "vector")
-
-    def test_allocation_runs_without_numpy(self, baseline):
+    def test_allocation_runs_without_numpy(self, spawned, baseline):
         # numpy's vectorized log1p, expm1 and log differ from the math
         # module's in the last bit on some inputs, so a numpy path could
         # not keep the scalar kernels' bits
-        loaded = _loaded_at_exit(
-            "-c", _LOADED_AT_EXIT + "from gausswyner import allocation\n"
-            "alloc = allocation.waterfill((0.9, 0.5, 0.0), 0.1)\n"
-            "allocation.saturation_breakpoints((0.9, 0.5, 0.0))\n"
-            "allocation.evaluate_allocation((0.9, 0.5, 0.0), alloc.gammas)\n")
-        assert "gausswyner.allocation" in loaded
-        assert not ({"numpy", "dataclasses", "inspect"} & loaded) - baseline
+        run = spawned("-c", _ALLOCATION_RUN)
+        assert run.code == 0, run.stderr
+        assert "gausswyner.allocation" in run.loaded
+        assert not {"numpy", "dataclasses", "inspect"} & (run.loaded
+                                                          - baseline)
 
-    @pytest.mark.parametrize("suite", ["scalar", "waterfill", "envelope"])
-    def test_grid_suites_do_not_load_numpy_ma(self, baseline, suite):
-        code = (_LOADED_AT_EXIT + "import runpy\n"
-                "sys.argv = ['gausswyner'] + sys.argv[1:]\n"
-                "runpy.run_module('gausswyner', run_name='__main__')\n")
-        loaded = _loaded_at_exit("-c", code, "verify", f"--suite={suite}")
-        assert "numpy" in loaded
-        assert "numpy.ma" not in loaded - baseline
+    def test_package_import_loads_only_errors(self, spawned):
+        run = spawned("-c", "import gausswyner")
+        assert run.code == 0, run.stderr
+        assert {name for name in run.loaded
+                if name.startswith("gausswyner.")} == {"gausswyner.errors"}
 
-    def test_all_is_the_table_plus_version_and_errors(self):
-        assert len(set(gausswyner.__all__)) == len(gausswyner.__all__)
-        assert set(gausswyner.__all__) == gausswyner._MODULE_OF.keys() | {
-            "__version__", "CovarianceError", "GausswynerError",
-            "ParameterError"}
+    @pytest.mark.parametrize("module", sorted(_ONE_NAME_OF))
+    def test_module_loads_on_first_access(self, spawned, baseline, module):
+        run = spawned(
+            "-c", "import sys, gausswyner\n"
+            f"assert 'gausswyner.{module}' not in sys.modules\n"
+            f"gausswyner.{_ONE_NAME_OF[module]}\n")
+        assert run.code == 0, run.stderr
+        assert f"gausswyner.{module}" in run.loaded
+        assert ("numpy" in run.loaded - baseline) == (module == "vector")
 
-    def test_vector_names_resolve_on_access(self):
-        namespace = {}
-        exec("from gausswyner import *", namespace)
-        assert set(gausswyner.__all__) <= namespace.keys()
-        from gausswyner import vector
-        assert gausswyner.wyner_ci_vector is vector.wyner_ci_vector
-        assert namespace["JointGaussianCov"] is vector.JointGaussianCov
-        assert set(gausswyner.__all__) <= set(dir(gausswyner))
-        with pytest.raises(AttributeError, match="no_such_name"):
-            gausswyner.no_such_name
+
+class TestExitPath:
+    """A ``gausswyner`` process runs ``cli.entry_point``, which freezes the
+    collector on the way out, so that teardown's collections skip the
+    objects it is about to free. Nothing a caller sees changes: each exit
+    code, stdout and stderr is that of an in-process ``cli.main`` call."""
+
+    @pytest.mark.parametrize("argv", _argv("scalar", "vector",
+                                           "verify-discrete"))
+    def test_collector_is_frozen_at_exit(self, command, argv):
+        run = command(argv).run
+        assert run.code == 0, run.stderr
+        assert run.frozen > 0
+
+    @pytest.mark.parametrize("argv, code", [
+        _COMMANDS[name][:2]
+        for name in ("scalar", "curve", "argparse-error", "parameter-error",
+                     "indefinite-vector", "unwritable-curve", "vector")])
+    def test_process_matches_in_process_main(self, command, argv, code):
+        cmd = command(argv)
+        assert _matches_main(cmd)
+        assert cmd.run.code == code
+
+    def test_in_process_main_leaves_the_collector_alone(self):
+        frozen = gc.get_freeze_count()
+        assert _in_process(["scalar", "--rho=0.5", "--gamma=0.1"])[0] == 0
+        assert _in_process(["scalar", "--rho=0.5"])[0] == 2
+        assert _in_process(["verify", "--suite=discrete"])[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_is_the_entry_point(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert ('gausswyner = "gausswyner.cli:entry_point"'
+                in pyproject.read_text(encoding="utf-8").splitlines())
+
+
+class TestEntryPoint:
+    def test_module_invocation(self, command):
+        run = command(_COMMANDS["scalar"][0]).run
+        assert run.code == 0
+        record = json.loads(run.stdout)
+        assert record["value_nats"] == pytest.approx(0.0946030591935194,
+                                                     abs=1e-9)
 
 
 class TestLazyNumpy:
-    @pytest.mark.parametrize("argv", [
-        ["scalar", "--rho=0.5", "--gamma=0.1"],
-        ["graywyner", "--rho=0.5", "--delta=0.75", "--alpha=0"],
-        ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
-         "--output={out}"],
-    ])
-    def test_closed_form_commands_do_not_load_numpy(self, tmp_path, argv):
-        argv = [arg.format(out=tmp_path / "curve.csv") for arg in argv]
-        proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_AT_EXIT, *argv],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "False"
+    @pytest.mark.parametrize("argv", _argv("scalar", "graywyner", "curve"))
+    def test_closed_form_commands_do_not_load_numpy(self, command, argv):
+        run = command(argv).run
+        assert run.code == 0, run.stderr
+        assert "numpy" not in run.loaded
 
-    def test_package_and_cli_import_do_not_load_numpy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, gausswyner, gausswyner.cli; "
-             "print('numpy' in sys.modules)"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+    def test_package_and_cli_import_do_not_load_numpy(self, spawned):
+        run = spawned("-c", "import gausswyner.cli")
+        assert run.code == 0, run.stderr
+        assert {"gausswyner", "gausswyner.cli"} <= run.loaded
+        assert "numpy" not in run.loaded
 
-    def test_canonical_spectrum_does_not_load_numpy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, gausswyner; "
-             "spectrum = gausswyner.CanonicalSpectrum((0.9, 0.5)); "
-             "gausswyner.waterfill(spectrum, 0.1); "
-             "print('numpy' in sys.modules)"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+    def test_canonical_spectrum_does_not_load_numpy(self, spawned):
+        run = spawned("-c", _ALLOCATION_RUN)
+        assert run.code == 0, run.stderr
+        assert "numpy" not in run.loaded

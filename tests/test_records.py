@@ -177,6 +177,23 @@ class TestPackageNamespace:
             assert getattr(gausswyner, name) is getattr(allocation, name)
             assert name in dir(gausswyner)
 
+    def test_all_is_the_table_plus_version_and_errors(self):
+        assert len(set(gausswyner.__all__)) == len(gausswyner.__all__)
+        assert set(gausswyner.__all__) == gausswyner._MODULE_OF.keys() | {
+            "__version__", "CovarianceError", "GausswynerError",
+            "ParameterError"}
+
+    def test_vector_names_resolve_on_access(self):
+        namespace = {}
+        exec("from gausswyner import *", namespace)
+        assert set(gausswyner.__all__) <= namespace.keys()
+        from gausswyner import vector
+        assert gausswyner.wyner_ci_vector is vector.wyner_ci_vector
+        assert namespace["JointGaussianCov"] is vector.JointGaussianCov
+        assert set(gausswyner.__all__) <= set(dir(gausswyner))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gausswyner.no_such_name
+
 
 class TestJointGaussianCov:
     """The covariance record compares and hashes by identity, and every copy
