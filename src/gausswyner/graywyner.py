@@ -19,7 +19,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .scalar import _LOG_2PIE, _as_float, validate_correlation
+from .scalar import _as_float, _mutual_informations, validate_correlation
 
 __all__ = [
     "GrayWynerPoint",
@@ -111,7 +111,7 @@ def common_rate(sigma2: float, rho: float, delta: float,
         nu_star = min(max(d / denom, 1.0 / (1.0 + r)), 1.0)
         regime = Regime.BLEND
     else:
-        r0 = max(0.5 * math.log1p(-r * r) - log_d, 0.0)
+        r0 = max(-_mutual_informations((r,))[0] - log_d, 0.0)
         regime = Regime.SATURATED_NU
     return GrayWynerPoint(sigma2, rho, delta, alpha_private, r0, regime,
                           nu_star)
@@ -121,8 +121,11 @@ def dual_objective(rho: float, delta: float, alpha_private: float,
                    nu: float) -> float:
     """Lagrangian dual bound on the common rate at multiplier ``nu``.
 
-    Assumes unit source variance (normalize ``delta`` by the variance
-    first). A true lower bound on :func:`common_rate` for
+    The bound is nu log nu - (nu - 1/2) log(2 nu - 1) - nu (alpha + log
+    delta) - I(|rho|) - (1 - nu) log(1 - |rho|), with I the pair's
+    mutual information (:func:`.scalar.mutual_information`). It assumes
+    unit source variance (normalize ``delta`` by the variance first). A
+    true lower bound on :func:`common_rate` for
     nu >= 1/(1 + |rho|); strictly concave on (1/2, 1] with second derivative
     -1/(nu (2 nu - 1)).
     """
@@ -134,13 +137,7 @@ def dual_objective(rho: float, delta: float, alpha_private: float,
     nu = _as_float(nu, "nu")
     if math.isnan(nu) or not 0.5 < nu <= 1.0:
         raise ParameterError(f"nu must lie in (1/2, 1], got {nu!r}")
-    two_nu_m1 = 2.0 * nu - 1.0
-    return (
-        _LOG_2PIE + 0.5 * math.log1p(-r * r)
-        - nu * alpha_private
-        - nu * (_LOG_2PIE + math.log(delta))
-        + 0.5 * nu * math.log(nu * nu / two_nu_m1)
-        - (1.0 - nu) * (_LOG_2PIE + math.log(1.0 - r))
-        + 0.5 * (1.0 - nu) * math.log(two_nu_m1)
-    )
+    return (nu * math.log(nu) - (nu - 0.5) * math.log(2.0 * nu - 1.0)
+            - nu * (alpha_private + math.log(delta))
+            - _mutual_informations((r,))[0] - (1.0 - nu) * math.log1p(-r))
 

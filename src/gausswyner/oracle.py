@@ -8,10 +8,11 @@ returns a :class:`CheckReport` carrying the oracle value and the closed-form
 value side by side; :func:`run_suite` runs the published instance table
 used by the command-line ``verify`` subcommand. Grid sizes, sample counts,
 seeds and the simplex step of :func:`verify_waterfill_grid` are fixed
-constants, so no verifier has a tuning argument; a simplex of more than
-``_SIMPLEX_MAX_POINTS`` points is refused. The simplex search
-prices each component once, on one lattice axis, and folds the components
-in one at a time, so its memory grows with the axis, not with the simplex.
+constants, so no verifier has a tuning argument; a simplex search whose
+folds would sum more than ``_SIMPLEX_MAX_POINTS`` lattice points is
+refused. The simplex search prices each component once, on one lattice
+axis, and folds the components in one at a time, so its memory grows with
+the axis, not with the simplex.
 
 Each verifier imports what it runs: numpy comes in only with the grid and
 sampling checks (scalar achievability, the dual sweep, the water-filling
@@ -50,8 +51,8 @@ _LN2 = math.log(2.0)
 _FOUR_PI2E2 = (2.0 * math.pi * math.e) ** 2
 
 _SCALAR_GRID_SIZE = 100_000   # alpha samples of the achievability sweep
-# water-filling simplex points: the published instances use at most 125,751,
-# three components at gamma = 2 about 2.0 million
+# lattice points the water-filling folds sum: the published instances use at
+# most 125,751, three components at gamma = 2 about 2.0 million
 _SIMPLEX_MAX_POINTS = 4_000_000
 _SIMPLEX_STEP = 1e-3          # budget per cell of the water-filling lattice
 # Fewest cells of the water-filling lattice: the level's sqrt(2 gamma) slope
@@ -207,13 +208,13 @@ def _ci_curve(rho: float, gammas):
 def verify_waterfill_grid(spectrum, gamma: float) -> CheckReport:
     """Exhaustive simplex search of the budget split versus ``waterfill``.
 
-    Supports 1 to 3 components (the grid blows up combinatorially beyond
-    that, and the tensorized structure makes larger spectra redundant for
-    verification). The simplex is the lattice of splits into
-    n = max(100, round(gamma/step)) parts at the fixed step 1e-3: each
-    component is priced once on ``linspace(0, gamma, n + 1)``, and the
-    components are folded in one at a time. A grid of more than
-    ``_SIMPLEX_MAX_POINTS`` points raises ``ParameterError`` before any
+    The simplex is the lattice of splits into n = max(100, round(gamma/step))
+    parts at the fixed step 1e-3: each component is priced once on
+    ``linspace(0, gamma, n + 1)``, and the components are folded in one at
+    a time. Of k components, each of the k - 2 inner folds sums a triangle
+    of (n + 1)(n + 2)/2 lattice points, and the last fold one row of n + 1.
+    If the triangles, or for k = 2 the row, hold more than
+    ``_SIMPLEX_MAX_POINTS`` points, ``ParameterError`` is raised before any
     array is built.
 
     Every lattice point is a feasible split, so the grid minimum may
@@ -227,14 +228,13 @@ def verify_waterfill_grid(spectrum, gamma: float) -> CheckReport:
 
     rhos = allocation.as_rhos(spectrum)
     gamma = scalar.validate_budget(gamma)
-    if not 1 <= len(rhos) <= 3:
-        raise ParameterError("grid oracle supports 1 to 3 components")
-    if rhos[0] >= 1.0:
-        raise ParameterError("grid oracle requires rho < 1")
-    # n + 1 points per axis, a triangle of them for three components; in
-    # floats, so an infinite count compares too
+    if not rhos or rhos[0] >= 1.0:
+        raise ParameterError("grid oracle requires components with rho < 1")
+    # n + 1 points per axis, the one point of one component; in floats, so
+    # an infinite count compares too
     per_axis = max(_SIMPLEX_MIN_CELLS, gamma / _SIMPLEX_STEP) + 1.0
-    points = (1.0, per_axis, per_axis * (per_axis + 1.0) / 2.0)[len(rhos) - 1]
+    points = ((len(rhos) - 2) * per_axis * (per_axis + 1.0) / 2.0
+              if len(rhos) > 2 else per_axis ** (len(rhos) - 1))
     if points > _SIMPLEX_MAX_POINTS:
         raise ParameterError(
             f"simplex of about {points:.3g} points exceeds "

@@ -41,8 +41,6 @@ __all__ = [
 # and is clamped; anything worse is rejected.
 RHO_CLAMP_BAND = 1e-9
 
-_LOG_2PIE = math.log(2.0 * math.pi * math.e)
-
 
 def _as_float(value, name: str) -> float:
     """``float(value)``, with an int too large for a float, or a value that
@@ -222,11 +220,16 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
 
 
 def dual_objective(rho: float, gamma: float, mu: float) -> float:
-    """Lagrangian dual bound on the scalar value at multiplier ``mu > 1``.
+    """Lagrangian dual bound on the scalar value at multiplier ``mu > 1``:
+    C(rho) - atanh(1/mu) - mu (gamma + (1/2) log(1 - 1/mu^2)), with C the
+    :func:`common_information`.
 
     A true lower bound on :func:`wyner_ci_scalar` whenever
     ``mu >= 1/|rho|``; strictly concave in ``mu`` with second derivative
-    -1/(mu (mu^2 - 1)) and maximizer :func:`dual_maximizer`. At
+    -1/(mu (mu^2 - 1)) and maximizer :func:`dual_maximizer`,
+    mu* = 1/sqrt(1 - e^{-2 gamma}). At mu* the last term is 0 and
+    atanh(1/mu*) is the water level :func:`level_from_budget` of ``gamma``,
+    so where mu* >= 1/|rho| the bound meets the closed form. At
     ``mu = inf`` (the maximizer for ``gamma = 0``) it returns the limit:
     ``common_information(rho)`` when ``gamma = 0``, ``-inf`` otherwise.
     """
@@ -237,15 +240,13 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
     mu = _as_float(mu, "dual variable")
     if math.isnan(mu) or mu <= 1.0:
         raise ParameterError(f"dual variable {mu!r} must be > 1")
+    common = _common_informations((r,))[0]
     if math.isinf(mu):
-        return _common_informations((r,))[0] if gamma == 0.0 else -math.inf
-    joint_entropy = _LOG_2PIE + 0.5 * math.log1p(-r * r)
-    envelope = _LOG_2PIE + 0.5 * math.log(
-        (1.0 - r) ** 2 * (mu + 1.0) / (mu - 1.0))
-    # log(mu^2 / (mu^2 - 1)) without squaring mu, which overflows past
-    # about 1.3e154
-    return (joint_entropy - mu * gamma
-            - 0.5 * mu * math.log1p(-1.0 / mu / mu) - envelope)
+        return common if gamma == 0.0 else -math.inf
+    # atanh(1/mu) = (1/2) log((mu + 1) / (mu - 1)), and 1/mu/mu, not
+    # 1/(mu * mu), since mu * mu overflows past about 1.3e154
+    return (common - 0.5 * math.log1p(2.0 / (mu - 1.0))
+            - mu * (gamma + 0.5 * math.log1p(-1.0 / mu / mu)))
 
 
 def dual_maximizer(gamma: float) -> float:

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 import gausswyner
 from gausswyner import cli, scalar
 
+import cli_digest
+
 LN2 = math.log(2.0)
 
 
@@ -454,6 +456,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "scalar")
         assert code == 1
         assert json.loads(out)["all_passed"] is False
+
+
+class TestByteCorpus:
+    """Every byte of a seeded corpus of the numpy-free commands, pinned by
+    ``tests/cli_digest.py``; its ``--lines`` output lists what moved."""
+
+    def test_corpus_matches_the_checked_in_digest(self):
+        assert cli_digest.corpus_digest() == cli_digest.DIGEST
 
 
 def _in_process(argv):

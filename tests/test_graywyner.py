@@ -1,6 +1,7 @@
 """Gray-Wyner common rate: branch formulas, duality, and structure."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,24 @@ from hypothesis import strategies as st
 from gausswyner import oracle
 from gausswyner.errors import ParameterError
 from gausswyner.graywyner import Regime, common_rate, dual_objective
+
+
+def _decimal_ln(x) -> Decimal:
+    """ln of a float or a Decimal, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal(x).ln()
+
+
+def _decimal_log_one_minus_r2(r: float) -> Decimal:
+    """ln(1 - r^2) = -2 I(r) to 50 digits, as ln(1 - r) + ln(1 + r)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (1 - Decimal(r)).ln() + (1 + Decimal(r)).ln()
+
+
+def _within_ulps(got: float, want: Decimal, ulps: int) -> bool:
+    return abs(Decimal(got) - want) <= ulps * Decimal(math.ulp(got))
 
 
 class TestCommonRate:
@@ -28,6 +47,45 @@ class TestCommonRate:
             point = common_rate(1.0, rho, d, 0.0)
             assert point.r0 == pytest.approx(
                 0.5 * math.log((1.0 + rho) / (1.0 - rho)), abs=1e-12)
+
+    def test_regime_boundary_continuity_near_unit_correlation(self):
+        # delta moved by a relative 2e-12 to each side of d = 1 - rho: both
+        # sides are within a few ulps of their 50-digit values, so the jump
+        # is the exact one, 4.0e-12. A saturated rate formed from the
+        # rounded rho * rho was 1.85e-9 high, a jump 465 times too large.
+        rho, alpha = 1.0 - 7.42e-9, 0.938
+        edge = (1.0 - rho) * math.exp(-alpha)
+        below = common_rate(1.0, rho, edge * (1.0 - 2e-12), alpha)
+        above = common_rate(1.0, rho, edge * (1.0 + 2e-12), alpha)
+        assert below.regime is Regime.SATURATED_NU
+        assert above.regime is Regime.BLEND
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want_below = (_decimal_log_one_minus_r2(rho) / 2
+                          - _decimal_ln(below.delta) - Decimal(alpha))
+            d = Decimal(above.delta) * Decimal(alpha).exp()
+            want_above = _decimal_ln((1 + Decimal(rho))
+                                     / (2 * d - (1 - Decimal(rho)))) / 2
+        assert _within_ulps(below.r0, want_below, 4)
+        assert _within_ulps(above.r0, want_above, 4)
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("sigma2, alpha, fraction", [
+        (1.0, 0.0, 0.5), (1e300, 0.938, 0.01), (1e-300, 2.0, 0.9)])
+    def test_saturated_rate_near_unit_correlation(self, gap, sigma2, alpha,
+                                                  fraction):
+        # (1/2) ln(1 - rho^2) - ln(delta / sigma2) - alpha to 50 digits at
+        # 1 - rho = gap; with 1 - rho^2 formed from the rounded rho * rho
+        # the rate was 68 to 140,738 ulps off
+        rho = 1.0 - gap
+        delta = sigma2 * (1.0 - rho) * fraction * math.exp(-alpha)
+        point = common_rate(sigma2, rho, delta, alpha)
+        assert point.regime is Regime.SATURATED_NU
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (_decimal_log_one_minus_r2(rho) / 2 - _decimal_ln(delta)
+                    + _decimal_ln(sigma2) - Decimal(alpha))
+        assert _within_ulps(point.r0, want, 4)
 
     def test_loose_distortion_gives_zero(self):
         point = common_rate(1.0, 0.5, 1.5, 0.0)
@@ -153,6 +211,31 @@ class TestDualObjective:
             nu = rng.uniform(1.0 / (1.0 + rho), 1.0)
             assert dual_objective(rho, delta, alpha, nu) <= \
                 common_rate(1.0, rho, delta, alpha).r0 + 1e-10
+
+    def test_matches_a_decimal_reference(self):
+        # nu ln nu - (nu - 1/2) ln(2 nu - 1) - nu (alpha + ln delta) - I(rho)
+        # - (1 - nu) ln(1 - rho) to 50 digits, with 1 - rho down to 1e-12;
+        # with 1 - rho^2 formed from the rounded rho * rho the bound was up
+        # to 1.85e-9 off
+        rng = np.random.default_rng(21)
+        rhos = ([1.0 - 1e-12, 1.0 - 7.42e-9]
+                + [1.0 - 10.0 ** -rng.uniform(1.0, 12.0) for _ in range(24)]
+                + [10.0 ** -rng.uniform(0.0, 8.0) for _ in range(6)])
+        for rho in rhos:
+            delta = float(rng.uniform(0.02, 1.2))
+            alpha = float(rng.uniform(0.0, 1.0))
+            nu = float(rng.uniform(1.0 / (1.0 + rho), 1.0))
+            with localcontext() as ctx:
+                ctx.prec = 50
+                n = Decimal(nu)
+                want = (n * _decimal_ln(n)
+                        - (n - Decimal("0.5")) * _decimal_ln(2 * n - 1)
+                        - n * (Decimal(alpha) + _decimal_ln(delta))
+                        + _decimal_log_one_minus_r2(rho) / 2
+                        - (1 - n) * _decimal_ln(1 - Decimal(rho)))
+            got = dual_objective(rho, delta, alpha, nu)
+            assert abs(Decimal(got) - want) \
+                <= Decimal("1e-13") * max(1, abs(want)), rho
 
     def test_derivative_nonnegative_in_saturated_regime(self):
         rho, delta, alpha = 0.5, 0.2, 0.0

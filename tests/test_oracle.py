@@ -96,6 +96,19 @@ class TestWaterfillGrid:
         report = oracle.verify_waterfill_grid((0.9, 0.5, 0.2), 0.5)
         assert report.passed
 
+    @pytest.mark.parametrize("spectrum, gamma", [
+        ((0.9, 0.7, 0.5, 0.2), 0.5),
+        ((0.95, 0.8, 0.6, 0.4, 0.2), 0.4),
+        ((0.9, 0.9, 0.5, 0.3, 0.3, 0.1), 0.3),
+        ((0.99, 0.9, 0.8, 0.7, 0.5, 0.3, 0.1), 0.8),
+        ((0.99, 0.9, 0.8, 0.7, 0.5, 0.3, 0.2, 0.1), 0.6)])
+    def test_more_than_three_components(self, spectrum, gamma):
+        # each with active and saturated components
+        report = oracle.verify_waterfill_grid(spectrum, gamma)
+        assert report.passed
+        saturated = allocation.waterfill(spectrum, gamma).saturated
+        assert True in saturated and False in saturated
+
     @pytest.mark.parametrize("spectrum, gamma, points", [
         ((0.5,), 0.07, 2), ((0.9, 0.5), 0.2, 201),
         ((0.9, 0.5, 0.2), 0.5, 501), ((0.9, 0.7, 0.2), 0.00075, 101)])
@@ -170,6 +183,19 @@ class TestWaterfillGrid:
         else:
             assert oracle.verify_waterfill_grid(*args).passed
 
+    @pytest.mark.parametrize("limit, refused", [(15452, True),
+                                                (15453, False)])
+    def test_size_guard_counts_every_inner_fold(self, limit, refused,
+                                                monkeypatch):
+        # five components on 100 cells: three inner folds of 5151 points
+        monkeypatch.setattr(oracle, "_SIMPLEX_MAX_POINTS", limit)
+        args = (0.9, 0.8, 0.7, 0.5, 0.2), 0.00075
+        if refused:
+            with pytest.raises(ParameterError, match="points"):
+                oracle.verify_waterfill_grid(*args)
+        else:
+            assert oracle.verify_waterfill_grid(*args).passed
+
     def test_every_suite_instance_has_an_active_component(self):
         # a fully saturated instance has value 0 whatever the water level
         (_, instances), = oracle._SUITE_CHECKS["waterfill"]
@@ -191,13 +217,11 @@ class TestWaterfillGrid:
                 "spend = 1.01 * (gamma - tail) / k")
         assert not any(r.passed for r in oracle.run_suite("waterfill"))
 
-    def test_rejects_more_than_three(self):
-        with pytest.raises(ParameterError):
-            oracle.verify_waterfill_grid((0.9, 0.7, 0.5, 0.2), 0.5)
-
     def test_rejects_degenerate_component(self):
         with pytest.raises(ParameterError):
             oracle.verify_waterfill_grid((1.0, 0.5), 0.5)
+        with pytest.raises(ParameterError):
+            oracle.verify_waterfill_grid((), 0.5)
 
     @pytest.mark.parametrize("spectrum, gamma", [
         ((0.9, 0.5, 0.2), 1000.0),  # ~5e11 points, hours of row loop

@@ -393,6 +393,27 @@ class TestDual:
             assert scalar.dual_objective(rho, gamma, mu) <= \
                 scalar.wyner_ci_scalar(rho, gamma) + 1e-12
 
+    def test_matches_a_decimal_reference(self):
+        # C(rho) - atanh(1/mu) - mu (gamma + ln(1 - 1/mu^2) / 2) to 50
+        # digits, with 1 - rho down to 1e-12 and gamma up to I(rho); with
+        # 1 - rho^2 formed from the rounded rho * rho the bound was up to
+        # 1.85e-9 off
+        rng = np.random.default_rng(21)
+        rhos = ([1.0 - 1e-12, 1.0 - 7.42e-9]
+                + [1.0 - 10.0 ** -rng.uniform(1.0, 12.0) for _ in range(24)]
+                + [10.0 ** -rng.uniform(0.0, 8.0) for _ in range(6)])
+        for rho in rhos:
+            gamma = float(rng.uniform()) * scalar.mutual_information(rho)
+            mu = 1.0 / rho + float(rng.uniform(0.0, 10.0))
+            with localcontext() as ctx:
+                ctx.prec = 50
+                m = Decimal(mu)
+                want = (_decimal_atanh(rho) - ((m + 1) / (m - 1)).ln() / 2
+                        - m * (Decimal(gamma) + (1 - 1 / (m * m)).ln() / 2))
+            got = scalar.dual_objective(rho, gamma, mu)
+            assert abs(Decimal(got) - want) \
+                <= Decimal("1e-13") * max(1, abs(want)), rho
+
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     def test_rejects_rho_at_zero_or_one(self, rho):
         with pytest.raises(ParameterError, match=r"0 < \|rho\| < 1"):
