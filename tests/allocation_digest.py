@@ -4,18 +4,16 @@ One SHA-256 over the ``repr`` of every result pins every bit of the sweep.
 ``allocation`` loads no numpy and adds floats with ``math.fsum``, which is
 exactly rounded, so the digest is the same on every supported Python (the
 builtin ``sum`` of floats is compensated from 3.12 on, and gave other last
-bits there). To check an interpreter that has no pytest, run
-
-    PYTHONPATH=src python tests/allocation_digest.py
-
-which prints the sweep's digest and whether it matches ``DIGEST``.
+bits there). As a script, ``PYTHONPATH=src python
+tests/allocation_digest.py [--lines]`` checks the digest without pytest, or
+prints one line per result (see ``corpus.py``).
 """
 
-import hashlib
 import random
-import sys
 
 from gausswyner import allocation
+
+import corpus
 
 SEED = 1912
 SPECTRA = 1000
@@ -59,16 +57,5 @@ def sweep_lines(seed=SEED, spectra=SPECTRA):
         yield repr((split, allocation.evaluate_allocation(rhos, split)))
 
 
-def sweep_digest(seed=SEED, spectra=SPECTRA):
-    """SHA-256 of the sweep's lines, one per line."""
-    digest = hashlib.sha256()
-    for line in sweep_lines(seed, spectra):
-        digest.update(line.encode("ascii") + b"\n")
-    return digest.hexdigest()
-
-
 if __name__ == "__main__":
-    got = sweep_digest()
-    print(f"Python {sys.version.split()[0]}: {got}",
-          "matches" if got == DIGEST else f"differs from {DIGEST}")
-    sys.exit(got != DIGEST)
+    corpus.main(sweep_lines(), DIGEST)

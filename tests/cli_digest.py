@@ -1,40 +1,32 @@
 """A seeded corpus of the command-line invocations that load no numpy, and
 the digest of their bytes.
 
-Each invocation runs ``cli.main`` in this process: ``scalar`` (with and
-without ``--bits``), ``graywyner`` in all three regimes (|rho| near 1 and
-sigma2 at 10^+-300 included), ``curve``, ``verify --suite=graywyner`` and
-``verify --suite=discrete``, and the usage errors these report with exit
-code 2. One SHA-256 over the ``repr`` of every invocation's argv, exit
-code, stdout, stderr and written CSV pins every byte. ``--help`` and
-argparse's own errors are left out, because their text differs across
-Python 3.10-3.13. The argv are drawn without calling the library, so two
-checkouts run the same corpus. To check an interpreter that has no pytest,
-run
-
-    PYTHONPATH=src python tests/cli_digest.py
-
-which prints the corpus digest and whether it matches ``DIGEST``. With
-``--lines`` it prints one line per invocation instead, so that the diff of
-two checkouts' output lists every moved byte.
+Each invocation runs ``cli.main`` in this process: ``--version``,
+``scalar`` (with and without ``--bits``), ``graywyner`` in all three
+regimes (|rho| near 1 and sigma2 at 10^+-300 included), ``curve``,
+``verify --suite=graywyner`` and ``verify --suite=discrete``, the usage
+errors these report with exit code 2, and a ``curve`` whose output folder
+is missing (exit code 4). One SHA-256 over the ``repr`` of every
+invocation's argv, exit code, stdout, stderr and written CSV pins every
+byte. ``--help`` and argparse's own errors are left out, because their
+text differs across Python 3.10-3.13. The argv are drawn without calling
+the library, so two checkouts run the same corpus. As a script,
+``PYTHONPATH=src python tests/cli_digest.py [--lines]`` checks the digest
+without pytest, or prints one line per invocation (see ``corpus.py``).
 """
 
-import contextlib
-import hashlib
-import io
 import math
 import os
 import random
-import sys
 import tempfile
 
-from gausswyner import cli
+import corpus
 
 SEED = 2107
 INVOCATIONS = 400
-DIGEST = "2c51c44cb0c0bbeba7697f525901ddd5b445ad0dadfb18cc9058e70163aacc04"
+DIGEST = "669ed50bcd1c6a5204fa4e6e2ad4ab3ac0f6ffa5b3af99a53d49a1654148b66d"
 
-# "{out}" stands for the CSV path, which lies in a fresh folder on each run
+# "{out}" stands for the CSV path, in a fresh folder on each run, in stderr too
 _OUT = "{out}"
 
 
@@ -113,11 +105,14 @@ def _curve(rng):
 
 
 def corpus_argvs(seed=SEED, invocations=INVOCATIONS):
-    """The two numpy-free ``verify`` suites, then ``invocations`` seeded
-    commands: about a third ``scalar``, nearly half ``graywyner`` and the
-    rest ``curve``."""
+    """``--version``, the two numpy-free ``verify`` suites and a ``curve``
+    into a missing folder, then ``invocations`` seeded commands: about a
+    third ``scalar``, nearly half ``graywyner`` and the rest ``curve``."""
+    yield ["--version"]
     yield ["verify", "--suite=graywyner"]
     yield ["verify", "--suite=discrete"]
+    yield ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
+           f"--output={_OUT}/missing/curve.csv"]
     rng = random.Random(seed)
     commands = (_scalar,) * 7 + (_graywyner,) * 9 + (_curve,) * 4
     for _ in range(invocations):
@@ -130,33 +125,11 @@ def corpus_lines(seed=SEED, invocations=INVOCATIONS):
     with tempfile.TemporaryDirectory() as folder:
         out = os.path.join(folder, "curve.csv")
         for argv in corpus_argvs(seed, invocations):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                code = cli.main([arg.replace(_OUT, out) for arg in argv])
-            csv = None
-            if os.path.exists(out):
-                with open(out, "rb") as handle:
-                    csv = handle.read()
-                os.remove(out)
-            yield repr((argv, code, stdout.getvalue(), stderr.getvalue(),
-                        csv))
-
-
-def corpus_digest(seed=SEED, invocations=INVOCATIONS):
-    """SHA-256 of the corpus lines, one per line."""
-    digest = hashlib.sha256()
-    for line in corpus_lines(seed, invocations):
-        digest.update(line.encode("ascii") + b"\n")
-    return digest.hexdigest()
+            code, stdout, stderr, csvs = corpus.run(
+                [arg.replace(_OUT, out) for arg in argv], folder)
+            yield repr((argv, code, stdout, stderr.replace(out, _OUT),
+                        csvs.get("curve.csv")))
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--lines"]:
-        for line in corpus_lines():
-            print(line)
-        sys.exit(0)
-    got = corpus_digest()
-    print(f"Python {sys.version.split()[0]}: {got}",
-          "matches" if got == DIGEST else f"differs from {DIGEST}")
-    sys.exit(got != DIGEST)
+    corpus.main(corpus_lines(), DIGEST)

@@ -1,9 +1,7 @@
 """Command-line contract: JSON records, CSV output, exit codes, determinism."""
 
 import argparse
-import contextlib
 import gc
-import io
 import json
 import math
 import os
@@ -19,8 +17,10 @@ from hypothesis import strategies as st
 
 import gausswyner
 from gausswyner import cli, scalar
+from gausswyner.errors import ParameterError
 
 import cli_digest
+import corpus
 
 LN2 = math.log(2.0)
 
@@ -457,34 +457,26 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["all_passed"] is False
 
+    def test_library_error_fails_its_check_and_exits_1(self, capsys,
+                                                       monkeypatch):
+        from gausswyner import allocation
+
+        def waterfill(spectrum, gamma):
+            raise ParameterError("synthetic")
+        monkeypatch.setattr(allocation, "waterfill", waterfill)
+        code, out, _ = run_cli(capsys, "verify", "--suite=all")
+        checks = json.loads(out)["checks"]
+        assert code == 1 and len(checks) == 23 and '"oracle_value": NaN' in out
+        assert [check["details"] for check in checks if not check["passed"]] \
+            == [{"error": "ParameterError: synthetic"}] * 3
+
 
 class TestByteCorpus:
     """Every byte of a seeded corpus of the numpy-free commands, pinned by
     ``tests/cli_digest.py``; its ``--lines`` output lists what moved."""
 
     def test_corpus_matches_the_checked_in_digest(self):
-        assert cli_digest.corpus_digest() == cli_digest.DIGEST
-
-
-def _in_process(argv):
-    """Exit code, stdout and stderr of ``cli.main(argv)`` in this process."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, stdout.getvalue(), stderr.getvalue()
-
-
-def _take_csvs(folder):
-    """The CSV files in ``folder``, by name, removed once read."""
-    taken = {}
-    for path in folder.glob("*.csv"):
-        taken[path.name] = path.read_bytes()
-        path.unlink()
-    return taken
+        assert corpus.digest(cli_digest.corpus_lines()) == cli_digest.DIGEST
 
 
 def _joined(argv):
@@ -649,7 +641,7 @@ class TestFuzz:
                 cov.write_text(json.dumps(payload), encoding="utf-8")
             argv = [arg.format(out=Path(tmp, "curve.csv"), cov=cov)
                     for arg in argv]
-            code, stdout, stderr = _in_process(argv)
+            code, stdout, stderr, _ = corpus.run(argv, tmp)
         assert code in {0, 2, 3, 4}, (argv, stderr)
         if code == 0 and argv[0] != "curve":
             json.loads(stdout)
@@ -752,8 +744,7 @@ class _Command(NamedTuple):
     argv: list          # the command line as run
     run: _Run           # its ``python -m gausswyner`` process
     written: dict       # the CSV files that process wrote
-    main: tuple         # exit code, stdout and stderr of ``cli.main(argv)``
-    main_written: dict  # the CSV files that call wrote
+    main: tuple         # code, stdout, stderr and CSVs of ``corpus.run``
 
 
 @pytest.fixture(scope="module")
@@ -776,10 +767,9 @@ def command(tmp_path_factory):
                 for arg in argv]
         if tuple(argv) not in commands:
             run = _process("-m", "gausswyner", *argv)
-            written = _take_csvs(folder)
+            written = corpus.take_csvs(folder)
             commands[tuple(argv)] = _Command(argv, run, written,
-                                             _in_process(argv),
-                                             _take_csvs(folder))
+                                             corpus.run(argv, folder))
         return commands[tuple(argv)]
 
     return command
@@ -806,7 +796,7 @@ def baseline(spawned):
 
 def _matches_main(cmd):
     """Whether a process gave the bytes of its in-process ``cli.main``."""
-    return cmd.run[:3] == cmd.main and cmd.written == cmd.main_written
+    return (*cmd.run[:3], cmd.written) == cmd.main
 
 
 class TestColdStart:
@@ -912,11 +902,10 @@ class TestExitPath:
         assert _matches_main(cmd)
         assert cmd.run.code == code
 
-    def test_in_process_main_leaves_the_collector_alone(self):
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
         frozen = gc.get_freeze_count()
-        assert _in_process(["scalar", "--rho=0.5", "--gamma=0.1"])[0] == 0
-        assert _in_process(["scalar", "--rho=0.5"])[0] == 2
-        assert _in_process(["verify", "--suite=discrete"])[0] == 0
+        assert [corpus.run(argv, tmp_path)[0] for argv in _argv(
+            "scalar", "argparse-error", "verify-discrete")] == [0, 2, 0]
         assert gc.get_freeze_count() == frozen
 
     def test_console_script_is_the_entry_point(self):

@@ -58,6 +58,19 @@ class TestScalarAchievability:
         assert not report.passed
         assert report.details["alpha_construction"] == wrong.alpha_noise
 
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6])
+    def test_shifted_closed_form_fails_every_instance(self, shift,
+                                                      monkeypatch):
+        closed = scalar.wyner_ci_scalar
+        monkeypatch.setattr(scalar, "wyner_ci_scalar",
+                            lambda rho, gamma: closed(rho, gamma) + shift)
+        (_, instances), _ = oracle._SUITE_CHECKS["scalar"]
+        reports = [oracle.verify_scalar_achievability(*args)
+                   for args in instances]
+        assert not any(report.passed for report in reports)
+        assert all(abs(report.details["construction_rate_gap"]) > 9e-7
+                   for report in reports)
+
     def test_report_carries_both_values(self):
         report = oracle.verify_scalar_achievability(0.3, 0.02)
         payload = report.as_dict()
@@ -70,6 +83,21 @@ class TestDualBoundSweep:
         report = oracle.verify_dual_bound_sweep()
         assert report.passed
         assert report.oracle_value <= 1e-12
+
+    def test_strong_duality_where_the_budget_binds(self):
+        details = oracle.verify_dual_bound_sweep().details
+        assert details["strong_duality_samples"] == 32
+        assert details["strong_duality_gap"] <= 1e-15
+
+    @pytest.mark.parametrize("wrong", [
+        lambda dual, *args: -1e9,
+        lambda dual, *args: dual(*args) + 1e-9,
+    ], ids=["constant", "shifted"])
+    def test_wrong_dual_fails(self, wrong, monkeypatch):
+        dual = scalar.dual_objective
+        monkeypatch.setattr(scalar, "dual_objective",
+                            lambda *args: wrong(dual, *args))
+        assert not oracle.verify_dual_bound_sweep().passed
 
 
 class TestWaterfillGrid:
@@ -449,6 +477,19 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ParameterError):
             oracle.run_suite("bogus")
+
+    def test_library_error_fails_only_its_check(self, monkeypatch):
+        _mutant(monkeypatch, allocation, "waterfill",
+                "if spend < cap:", "if spend >= cap:")
+        with pytest.raises(ParameterError):
+            oracle.verify_waterfill_grid((0.8, 0.8), 0.2)
+        reports = oracle.run_suite("all")
+        failed = [report for report in reports if not report.passed]
+        assert len(reports) == 23 and len(failed) == 3
+        raised, = (report for report in failed if "error" in report.details)
+        assert raised.name == "verify_waterfill_grid((0.8, 0.8), 0.2)"
+        assert raised.details["error"].startswith("ParameterError: budget ")
+        assert all(map(math.isnan, raised[1:4]))
 
 
 PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
