@@ -78,11 +78,15 @@ class CanonicalSpectrum:
     Immutable, and compared and hashed by ``rhos``.
     """
 
-    __slots__ = ("rhos",)
+    __slots__ = ("_rhos",)
     __match_args__ = ("rhos",)
 
     def __init__(self, rhos: Sequence[float]):
-        object.__setattr__(self, "rhos", as_rhos(rhos))
+        self._rhos = as_rhos(rhos)
+
+    @property
+    def rhos(self) -> tuple[float, ...]:
+        return self._rhos
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(rhos={self.rhos!r})"
@@ -94,17 +98,6 @@ class CanonicalSpectrum:
 
     def __hash__(self) -> int:
         return hash((self.rhos,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through __init__: the default
-        # protocol would restore the slot through __setattr__, which raises
-        return type(self), (self.rhos,)
 
     def __len__(self) -> int:
         return len(self.rhos)

@@ -392,11 +392,8 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
         lam, np.array([sig2_star]), np.array([q_star]))[0]) - closed
     # The optimum lies on the cap sig2 = (1-rho)/(1-q), whose slope there,
     # sig2*/(1-q*), is steep as q* nears 1: a q offset under one cell can
-    # move sig2 by many cells. So sig2 is judged against the cap at q_hat,
-    # shifted by the analytic minimizer's own offset from the cap at q*
-    # (q* = lam <= rho lies left of the kink).
-    sig2_off = (sig2_hat - float(cap[col])
-                - (sig2_star - min((1.0 - rho) / (1.0 - q_star), 1.0)))
+    # move sig2 by many cells. So sig2 is judged against the cap at q_hat.
+    sig2_off = sig2_hat - float(cap[col])
 
     passed = (grid_min >= closed - 1e-3
               and abs(q_hat - q_star) <= 2.0 * q_cell + 1e-12

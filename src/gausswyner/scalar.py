@@ -243,10 +243,16 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
     common = _common_informations((r,))[0]
     if math.isinf(mu):
         return common if gamma == 0.0 else -math.inf
-    # atanh(1/mu) = (1/2) log((mu + 1) / (mu - 1)), and 1/mu/mu, not
-    # 1/(mu * mu), since mu * mu overflows past about 1.3e154
+    # atanh(1/mu) = (1/2) log((mu + 1) / (mu - 1)). Below mu = 2, mu - 1 is
+    # exact and log(1 - 1/mu^2) = log((mu - 1)(mu + 1)) - 2 log(mu) keeps
+    # the digits that log1p of a rounded 1/mu^2 near 1 loses; above it,
+    # 1/mu/mu, not 1/(mu * mu), since mu * mu overflows past about 1.3e154
+    if mu < 2.0:
+        slack = math.log((mu - 1.0) * (mu + 1.0)) - 2.0 * math.log(mu)
+    else:
+        slack = math.log1p(-1.0 / mu / mu)
     return (common - 0.5 * math.log1p(2.0 / (mu - 1.0))
-            - mu * (gamma + 0.5 * math.log1p(-1.0 / mu / mu)))
+            - mu * (gamma + 0.5 * slack))
 
 
 def dual_maximizer(gamma: float) -> float:

@@ -40,6 +40,10 @@ class TestScalarCommand:
         assert record["value_nats"] == pytest.approx(0.549306144334055,
                                                      abs=1e-9)
         assert record["achievability"]["sigma2_w"] == pytest.approx(0.5)
+        # a point inside the curve, by the argv of TestColdStart's process
+        _, out, _ = run_cli(capsys, "scalar", "--rho=0.5", "--gamma=0.1")
+        assert json.loads(out)["value_nats"] == pytest.approx(
+            0.0946030591935194, abs=1e-9)
 
     def test_independent_pair(self, capsys):
         code, out, _ = run_cli(capsys, "scalar", "--rho", "0", "--gamma", "0")
@@ -262,6 +266,15 @@ class TestVectorCommand:
                                "--gamma", "0")
         assert code == 3
         assert "eigenvalue" in err
+
+    def test_non_finite_entry_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "cov.json"
+        path.write_text('{"kx": [[1,0],[0,Infinity]], "ky": [[1]], '
+                        '"kxy": [[0.5],[0]]}')
+        code, out, err = run_cli(capsys, "vector", "--input", str(path),
+                                 "--gamma", "0")
+        assert (code, out) == (3, "")
+        assert err == "error: k_x contains non-finite entries\n"
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "vector", "--input",
@@ -690,21 +703,19 @@ def _process(*args):
                 set(loaded))
 
 
-# Modules a numpy-free command must not load: numpy, dataclasses and the
-# inspect it pulls in, and the allocation module none of them calls.
-_HEAVY = {"numpy", "dataclasses", "inspect", "gausswyner.allocation"}
-# Modules a command must not load either, because it does not run them.
-_UNUSED = {"scalar": {"gausswyner.graywyner"},
-           "curve": {"gausswyner.graywyner", "json"},
-           "graywyner": set(),
-           "verify": set()}
-_ONE_NAME_OF = {module: name
-                for name, module in gausswyner._MODULE_OF.items()}
+# Modules a numpy-free run must not load: numpy, and dataclasses and the
+# inspect it pulls in.
+_HEAVY = {"numpy", "dataclasses", "inspect"}
+# Modules a numpy-free command must not load either, because it does not run
+# them.
+_UNUSED = {"scalar": {"gausswyner.allocation", "gausswyner.graywyner"},
+           "curve": {"gausswyner.allocation", "gausswyner.graywyner", "json"},
+           "graywyner": {"gausswyner.allocation"},
+           "verify": {"gausswyner.allocation"}}
 
 # Each ``python -m gausswyner`` command that a process test runs, by name:
-# its argv, its exit code and whether it loads numpy. ``{tmp}``, ``{cov}``
-# and ``{indefinite}`` name the folder of the ``command`` fixture and the
-# two covariance files in it.
+# its argv, its exit code and whether it loads numpy. ``{tmp}`` names the
+# folder of the ``folder`` fixture, which holds the two covariance files.
 _COMMANDS = {
     "scalar": (["scalar", "--rho=0.5", "--gamma=0.1"], 0, False),
     "graywyner": (["graywyner", "--rho=0.5", "--delta=0.75", "--alpha=0"],
@@ -713,95 +724,99 @@ _COMMANDS = {
                "--output={tmp}/curve.csv"], 0, False),
     "verify-graywyner": (["verify", "--suite=graywyner"], 0, False),
     "verify-discrete": (["verify", "--suite=discrete"], 0, False),
-    "vector": (["vector", "--input={cov}", "--gamma=0.1"], 0, True),
+    "vector": (["vector", "--input={tmp}/cov.json", "--gamma=0.1"], 0, True),
     "verify-scalar": (["verify", "--suite=scalar"], 0, True),
     "verify-waterfill": (["verify", "--suite=waterfill"], 0, True),
     "verify-envelope": (["verify", "--suite=envelope"], 0, True),
     "argparse-error": (["scalar", "--rho=0.5"], 2, False),
     "parameter-error": (["scalar", "--rho=2", "--gamma=0.1"], 2, False),
-    "indefinite-vector": (["vector", "--input={indefinite}", "--gamma=0.2"],
-                          3, True),
+    "indefinite-vector": (["vector", "--input={tmp}/indefinite.json",
+                           "--gamma=0.2"], 3, True),
     "unwritable-curve": (["curve", "--rho=0.5", "--gamma-max=0.1",
                           "--steps=4", "--output={tmp}/missing/curve.csv"],
                          4, False),
 }
-# Passes a CanonicalSpectrum to gausswyner.waterfill and runs the rest of
-# the allocation module.
-_ALLOCATION_RUN = (
-    "import gausswyner\n"
-    "from gausswyner import allocation\n"
-    "spectrum = gausswyner.CanonicalSpectrum((0.9, 0.5, 0.0))\n"
-    "alloc = gausswyner.waterfill(spectrum, 0.1)\n"
-    "allocation.saturation_breakpoints((0.9, 0.5, 0.0))\n"
-    "allocation.evaluate_allocation((0.9, 0.5, 0.0), alloc.gammas)\n")
 
 
-def _argv(*names):
-    return [_COMMANDS[name][0] for name in names]
+_ONE_NAME_OF = {module: name
+                for name, module in gausswyner._MODULE_OF.items()}
 
 
-class _Command(NamedTuple):
-    argv: list          # the command line as run
-    run: _Run           # its ``python -m gausswyner`` process
-    written: dict       # the CSV files that process wrote
-    main: tuple         # code, stdout, stderr and CSVs of ``corpus.run``
+def _first_access(module):
+    """A snippet that reaches one name of ``module`` through the package's
+    PEP 562 hook, which must not have loaded the module before."""
+    return ("import sys, gausswyner\n"
+            f"assert 'gausswyner.{module}' not in sys.modules\n"
+            f"gausswyner.{_ONE_NAME_OF[module]}\n")
+
+
+# Each ``python -c`` snippet that a process test runs, by name: its code,
+# the library modules it loads (no others) and whether it loads numpy.
+_SNIPPETS = {
+    "import-package": ("import gausswyner", {"errors"}, False),
+    "import-cli": ("import gausswyner.cli", {"_suites", "cli", "errors"},
+                   False),
+    "import-oracle": ("import gausswyner.oracle",
+                      {"_suites", "errors", "graywyner", "oracle", "scalar"},
+                      False),
+    # numpy's vectorized log1p, expm1 and log differ from the math module's
+    # in the last bit on some inputs, so a numpy path could not keep the
+    # scalar kernels' bits. This passes a CanonicalSpectrum to
+    # gausswyner.waterfill and runs the rest of the allocation module.
+    "allocation-run": (
+        "import gausswyner\n"
+        "from gausswyner import allocation\n"
+        "spectrum = gausswyner.CanonicalSpectrum((0.9, 0.5, 0.0))\n"
+        "alloc = gausswyner.waterfill(spectrum, 0.1)\n"
+        "allocation.saturation_breakpoints((0.9, 0.5, 0.0))\n"
+        "allocation.evaluate_allocation((0.9, 0.5, 0.0), alloc.gammas)\n",
+        {"allocation", "errors", "scalar"}, False),
+    "access-allocation": (_first_access("allocation"),
+                          {"allocation", "errors", "scalar"}, False),
+    "access-graywyner": (_first_access("graywyner"),
+                         {"errors", "graywyner", "scalar"}, False),
+    "access-scalar": (_first_access("scalar"), {"errors", "scalar"}, False),
+    "access-vector": (_first_access("vector"),
+                      {"allocation", "errors", "scalar", "vector"}, True),
+}
 
 
 @pytest.fixture(scope="module")
-def command(tmp_path_factory):
-    """The ``_Command`` of an argv from ``_COMMANDS``. Its process starts
-    once in this module, so every test that checks a command reads the
-    same run."""
+def folder(tmp_path_factory):
+    """The folder the commands write to, with the two covariance files that
+    ``_COMMANDS`` reads: a valid pair and an indefinite one."""
     folder = tmp_path_factory.mktemp("commands")
-    cov = folder / "cov.json"
-    cov.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
-                               "dim_x": 1}))
-    indefinite = folder / "indefinite.json"
-    indefinite.write_text(json.dumps({"kx": [[1, 0], [0, 1]],
-                                      "ky": [[1, 0], [0, 1]],
-                                      "kxy": [[1.3, 0], [0, 0.5]]}))
-    commands = {}
-
-    def command(argv):
-        argv = [arg.format(tmp=folder, cov=cov, indefinite=indefinite)
-                for arg in argv]
-        if tuple(argv) not in commands:
-            run = _process("-m", "gausswyner", *argv)
-            written = corpus.take_csvs(folder)
-            commands[tuple(argv)] = _Command(argv, run, written,
-                                             corpus.run(argv, folder))
-        return commands[tuple(argv)]
-
-    return command
+    (folder / "cov.json").write_text(json.dumps(
+        {"joint": [[1.0, 0.5], [0.5, 1.0]], "dim_x": 1}))
+    (folder / "indefinite.json").write_text(json.dumps(
+        {"kx": [[1, 0], [0, 1]], "ky": [[1, 0], [0, 1]],
+         "kxy": [[1.3, 0], [0, 0.5]]}))
+    return folder
 
 
 @pytest.fixture(scope="module")
-def spawned():
-    """``_process(*args)``, started once per ``args`` in this module."""
-    runs = {}
-
-    def spawned(*args):
-        if args not in runs:
-            runs[args] = _process(*args)
-        return runs[args]
-
-    return spawned
-
-
-@pytest.fixture(scope="module")
-def baseline(spawned):
+def baseline():
     """The modules that ``python -c pass`` loads under the same hook."""
-    return spawned("-c", "pass").loaded
+    return _process("-c", "pass").loaded
 
 
-def _matches_main(cmd):
-    """Whether a process gave the bytes of its in-process ``cli.main``."""
-    return (*cmd.run[:3], cmd.written) == cmd.main
+def _check_numpy(run, baseline, numpy):
+    """A numpy run loads numpy but not ``numpy.ma``. A numpy-free run loads
+    none of ``_HEAVY`` beyond ``baseline``, and no numpy at all."""
+    loaded = run.loaded - baseline
+    if numpy:
+        assert "numpy" in loaded
+        assert "numpy.ma" not in loaded
+    else:
+        assert "numpy" not in run.loaded
+        assert not _HEAVY & loaded
 
 
 class TestColdStart:
-    """Each ``python -m gausswyner`` command runs once, in a fresh
-    interpreter, and that one run is checked for:
+    """Each interpreter that tier-1 starts answers to one test here.
+
+    ``test_command`` runs each ``python -m gausswyner`` command once, in a
+    fresh interpreter, and checks that one run for:
 
     - its bytes: the exit code, stdout, stderr and written CSV files are
       those of an in-process ``cli.main`` call;
@@ -810,101 +825,44 @@ class TestColdStart:
     - its imports: a numpy-free command loads nothing it does not run, and a
       numpy command loads numpy but not ``numpy.ma``.
 
-    Loaded modules are compared with those of ``python -c pass`` under the
-    same hook, so what ``site`` preloads does not count. The tests of
-    ``TestExitPath``, ``TestEntryPoint`` and ``TestLazyNumpy`` read the same
-    runs."""
+    ``test_snippet`` runs each ``python -c`` snippet once and checks the
+    library modules it loads, and numpy, likewise. Loaded modules are
+    compared with those of ``python -c pass`` under the same hook, so what
+    ``site`` preloads does not count; numpy counts even there."""
 
     @pytest.mark.parametrize("argv, code, numpy", list(_COMMANDS.values()),
                              ids=list(_COMMANDS))
-    def test_command(self, command, baseline, argv, code, numpy):
-        cmd = command(argv)
-        assert _matches_main(cmd)
-        assert cmd.run.code == code
-        assert cmd.run.frozen > 0
-        loaded = cmd.run.loaded - baseline
-        assert "gausswyner.cli" in loaded
-        if numpy:
-            assert "numpy" in loaded
-            assert "numpy.ma" not in loaded
-        else:
-            assert not (_HEAVY | _UNUSED[argv[0]]) & loaded
-
-    @pytest.mark.parametrize("argv", _argv(
-        "scalar", "graywyner", "curve", "verify-graywyner",
-        "verify-discrete"))
-    def test_closed_form_commands(self, command, baseline, argv):
-        run = command(argv).run
-        assert run.code == 0, run.stderr
-        loaded = run.loaded - baseline
-        assert "gausswyner.cli" in loaded
-        assert not (_HEAVY | _UNUSED[argv[0]]) & loaded
-
-    def test_cli_import(self, spawned, baseline):
-        run = spawned("-c", "import gausswyner.cli")
-        assert run.code == 0, run.stderr
+    def test_command(self, folder, baseline, argv, code, numpy):
+        argv = [arg.format(tmp=folder) for arg in argv]
+        run = _process("-m", "gausswyner", *argv)
+        written = corpus.take_csvs(folder)
+        assert (*run[:3], written) == corpus.run(argv, folder)
+        assert run.code == code
+        assert run.frozen > 0
         assert "gausswyner.cli" in run.loaded
-        assert not (_HEAVY | {"gausswyner.graywyner"}) & (run.loaded
-                                                          - baseline)
+        _check_numpy(run, baseline, numpy)
+        if not numpy:
+            assert not _UNUSED[argv[0]] & (run.loaded - baseline)
 
-    def test_oracle_import_loads_no_dataclasses(self, spawned, baseline):
-        run = spawned("-c", "import gausswyner.oracle")
-        assert run.code == 0, run.stderr
-        assert "gausswyner.oracle" in run.loaded
-        assert not _HEAVY & (run.loaded - baseline)
-
-    def test_allocation_runs_without_numpy(self, spawned, baseline):
-        # numpy's vectorized log1p, expm1 and log differ from the math
-        # module's in the last bit on some inputs, so a numpy path could
-        # not keep the scalar kernels' bits
-        run = spawned("-c", _ALLOCATION_RUN)
-        assert run.code == 0, run.stderr
-        assert "gausswyner.allocation" in run.loaded
-        assert not {"numpy", "dataclasses", "inspect"} & (run.loaded
-                                                          - baseline)
-
-    def test_package_import_loads_only_errors(self, spawned):
-        run = spawned("-c", "import gausswyner")
+    @pytest.mark.parametrize("code, modules, numpy", list(_SNIPPETS.values()),
+                             ids=list(_SNIPPETS))
+    def test_snippet(self, baseline, code, modules, numpy):
+        run = _process("-c", code)
         assert run.code == 0, run.stderr
         assert {name for name in run.loaded
-                if name.startswith("gausswyner.")} == {"gausswyner.errors"}
-
-    @pytest.mark.parametrize("module", sorted(_ONE_NAME_OF))
-    def test_module_loads_on_first_access(self, spawned, baseline, module):
-        run = spawned(
-            "-c", "import sys, gausswyner\n"
-            f"assert 'gausswyner.{module}' not in sys.modules\n"
-            f"gausswyner.{_ONE_NAME_OF[module]}\n")
-        assert run.code == 0, run.stderr
-        assert f"gausswyner.{module}" in run.loaded
-        assert ("numpy" in run.loaded - baseline) == (module == "vector")
+                if name.startswith("gausswyner.")} == {
+            f"gausswyner.{module}" for module in modules}
+        _check_numpy(run, baseline, numpy)
 
 
 class TestExitPath:
     """A ``gausswyner`` process runs ``cli.entry_point``, which freezes the
-    collector on the way out, so that teardown's collections skip the
-    objects it is about to free. Nothing a caller sees changes: each exit
-    code, stdout and stderr is that of an in-process ``cli.main`` call."""
-
-    @pytest.mark.parametrize("argv", _argv("scalar", "vector",
-                                           "verify-discrete"))
-    def test_collector_is_frozen_at_exit(self, command, argv):
-        run = command(argv).run
-        assert run.code == 0, run.stderr
-        assert run.frozen > 0
-
-    @pytest.mark.parametrize("argv, code", [
-        _COMMANDS[name][:2]
-        for name in ("scalar", "curve", "argparse-error", "parameter-error",
-                     "indefinite-vector", "unwritable-curve", "vector")])
-    def test_process_matches_in_process_main(self, command, argv, code):
-        cmd = command(argv)
-        assert _matches_main(cmd)
-        assert cmd.run.code == code
+    collector on the way out (``TestColdStart``). ``cli.main`` called in
+    process does not, and the console script runs the same entry point."""
 
     def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
         frozen = gc.get_freeze_count()
-        assert [corpus.run(argv, tmp_path)[0] for argv in _argv(
+        assert [corpus.run(_COMMANDS[name][0], tmp_path)[0] for name in (
             "scalar", "argparse-error", "verify-discrete")] == [0, 2, 0]
         assert gc.get_freeze_count() == frozen
 
@@ -912,31 +870,3 @@ class TestExitPath:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         assert ('gausswyner = "gausswyner.cli:entry_point"'
                 in pyproject.read_text(encoding="utf-8").splitlines())
-
-
-class TestEntryPoint:
-    def test_module_invocation(self, command):
-        run = command(_COMMANDS["scalar"][0]).run
-        assert run.code == 0
-        record = json.loads(run.stdout)
-        assert record["value_nats"] == pytest.approx(0.0946030591935194,
-                                                     abs=1e-9)
-
-
-class TestLazyNumpy:
-    @pytest.mark.parametrize("argv", _argv("scalar", "graywyner", "curve"))
-    def test_closed_form_commands_do_not_load_numpy(self, command, argv):
-        run = command(argv).run
-        assert run.code == 0, run.stderr
-        assert "numpy" not in run.loaded
-
-    def test_package_and_cli_import_do_not_load_numpy(self, spawned):
-        run = spawned("-c", "import gausswyner.cli")
-        assert run.code == 0, run.stderr
-        assert {"gausswyner", "gausswyner.cli"} <= run.loaded
-        assert "numpy" not in run.loaded
-
-    def test_canonical_spectrum_does_not_load_numpy(self, spawned):
-        run = spawned("-c", _ALLOCATION_RUN)
-        assert run.code == 0, run.stderr
-        assert "numpy" not in run.loaded

@@ -439,6 +439,11 @@ class TestDsbsConstruction:
     def test_small_disagreement_approaches_one_bit(self):
         report = oracle.dsbs_construction_check(1e-12)
         assert report.oracle_value == pytest.approx(1.0, abs=1e-9)
+        # sqrt(1 - 2 a0) rounds to 1 here, so the crossover is 0.0, whose
+        # binary entropy is 0 without a log of 0
+        report = oracle.dsbs_construction_check(1e-17)
+        assert report.details["crossover"] == 0.0
+        assert report.passed and report.oracle_value == 1.0
 
     def test_half_disagreement_is_zero(self):
         report = oracle.dsbs_construction_check(0.5)

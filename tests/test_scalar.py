@@ -1,6 +1,7 @@
 """Scalar closed forms: pinned values, identities, and invariants."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -413,6 +414,28 @@ class TestDual:
             got = scalar.dual_objective(rho, gamma, mu)
             assert abs(Decimal(got) - want) \
                 <= Decimal("1e-13") * max(1, abs(want)), rho
+
+    def test_keeps_its_digits_as_mu_nears_one(self):
+        # At the maximizer mu* near 1, gamma + ln(1 - 1/mu^2) / 2 cancels;
+        # log1p of a rounded -1/mu^2 near -1 put the first point 1.35e-13
+        # (113 of the unit below) under a 50-digit reference
+        rng = np.random.default_rng(23)
+        points = [(0.9999576057616543, 4.571656122818925)]
+        for _ in range(40):
+            rho = 1.0 - 10.0 ** -rng.uniform(1.0, 6.0)
+            points.append((rho, float(rng.uniform(0.5, 1.0))
+                           * scalar.mutual_information(rho)))
+        for rho, gamma in points:
+            mu = scalar.dual_maximizer(gamma)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                m = Decimal(mu)
+                want = (_decimal_atanh(rho) - ((m + 1) / (m - 1)).ln() / 2
+                        - m * (Decimal(gamma) + (1 - 1 / (m * m)).ln() / 2))
+            got = scalar.dual_objective(rho, gamma, mu)
+            scale = max(1.0, abs(float(want)), scalar.common_information(rho))
+            assert abs(float(Decimal(got) - want)) \
+                <= 4.0 * sys.float_info.epsilon * scale, (rho, gamma)
 
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     def test_rejects_rho_at_zero_or_one(self, rho):

@@ -119,9 +119,16 @@ class TestValidateCov:
         np.testing.assert_allclose(cov.k_x, cov.k_x.T, rtol=0, atol=0)
 
     def test_non_finite_entries_fail(self):
-        cov = JointGaussianCov([[1.0]], [[math.nan]], [[1.0]])
-        with pytest.raises(CovarianceError, match="non-finite"):
-            vector.validate_cov(cov)
+        blocks = {"k_x": [[1.0, 0.0], [0.0, 1.0]], "k_xy": [[0.5], [0.0]],
+                  "k_y": [[1.0]]}
+        for name in blocks:
+            for bad in (math.nan, math.inf, -math.inf):
+                block = [row[:] for row in blocks[name]]
+                block[-1][-1] = bad
+                cov = JointGaussianCov(**{**blocks, name: block})
+                with pytest.raises(CovarianceError, match=(
+                        f"^{name} contains non-finite entries$")):
+                    vector.validate_cov(cov)
 
     @pytest.mark.parametrize("s", [1e-170, 1e160])
     def test_asymmetry_detected_at_extreme_scales(self, s):
@@ -204,6 +211,12 @@ class TestPinvSqrt:
     def test_rejects_asymmetric(self):
         with pytest.raises(CovarianceError, match="symmetric"):
             vector.pinv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(CovarianceError,
+                               match="^matrix contains non-finite entries$"):
+                vector.pinv_sqrt(np.array([[1.0, 0.0], [0.0, bad]]))
 
     @pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
     def test_rejects_non_square_or_empty(self, shape):
