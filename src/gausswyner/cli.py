@@ -130,18 +130,19 @@ def _cmd_curve(args) -> int:
     if args.steps < 2:
         raise ParameterError(f"steps must be >= 2, got {args.steps}")
     bound_at_zero = scalar.mutual_information(abs(rho))
-    lines = ["gamma,c_gamma_nats,lower_bound_nats"]
-    for j in range(args.steps + 1):
-        gamma = gamma_max * j / args.steps
-        if math.isinf(gamma):  # gamma_max * j overflowed
-            gamma = gamma_max * (j / args.steps)
-        if j == args.steps:  # the product can round one ulp above the top
-            gamma = gamma_max
-        value = scalar.wyner_ci_scalar(rho, gamma)
-        lower = max(bound_at_zero - gamma, 0.0)
-        lines.append(f"{gamma!r},{value!r},{lower!r}")
+    # each row is written as it is formed, so memory does not grow with
+    # --steps, and an unwritable path fails before any row is computed
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("gamma,c_gamma_nats,lower_bound_nats\n")
+        for j in range(args.steps + 1):
+            gamma = gamma_max * j / args.steps
+            if math.isinf(gamma):  # gamma_max * j overflowed
+                gamma = gamma_max * (j / args.steps)
+            if j == args.steps:  # the product can round one ulp above the top
+                gamma = gamma_max
+            value = scalar.wyner_ci_scalar(rho, gamma)
+            lower = max(bound_at_zero - gamma, 0.0)
+            handle.write(f"{gamma!r},{value!r},{lower!r}\n")
     return 0
 
 

@@ -24,7 +24,7 @@ import corpus
 
 SEED = 2107
 INVOCATIONS = 400
-DIGEST = "669ed50bcd1c6a5204fa4e6e2ad4ab3ac0f6ffa5b3af99a53d49a1654148b66d"
+DIGEST = "2357c34cfacc1811e86a6ee265d103fb002fc44292ecd79ba4144ec060968c9d"
 
 # "{out}" stands for the CSV path, in a fresh folder on each run, in stderr too
 _OUT = "{out}"

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -314,11 +315,34 @@ class TestCurveCommand:
         assert err == "error: gamma-max must be finite\n"
         assert not out_path.exists()
 
-    def test_unwritable_path_exits_4(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "curve", "--rho", "0.5",
-                             "--gamma-max", "0.1", "--steps", "10",
-                             "--output", str(tmp_path / "no_dir" / "x.csv"))
-        assert code == 4
+    def test_unwritable_path_exits_4(self, tmp_path, capsys, monkeypatch):
+        rows = []
+        value = scalar.wyner_ci_scalar
+        monkeypatch.setattr(scalar, "wyner_ci_scalar",
+                            lambda *args: rows.append(args) or value(*args))
+        path = tmp_path / "no_dir" / "x.csv"
+        code, out, err = run_cli(capsys, "curve", "--rho", "0.5",
+                                 "--gamma-max", "0.1", "--steps", "10",
+                                 "--output", str(path))
+        assert (code, out, rows) == (4, "", [])
+        assert err == f"error: [Errno 2] No such file or directory: " \
+                      f"{str(path)!r}\n"
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        # each row is written as it is formed; a list of the rows held
+        # about 0.4 MB more at 2,000 steps than at 200
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert cli.main(["curve", "--rho=0.5", "--gamma-max=0.1",
+                                 f"--steps={steps}",
+                                 f"--output={tmp_path / 'curve.csv'}"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # imports and compiles outside the comparison
+        assert peak(2000) - peak(200) < 64 * 1024
 
     def test_negative_zero_budget_prints_positive_zeros(self, tmp_path,
                                                         capsys):
@@ -479,7 +503,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(allocation, "waterfill", waterfill)
         code, out, _ = run_cli(capsys, "verify", "--suite=all")
         checks = json.loads(out)["checks"]
-        assert code == 1 and len(checks) == 23 and '"oracle_value": NaN' in out
+        assert code == 1 and len(checks) == 24 and '"oracle_value": NaN' in out
         assert [check["details"] for check in checks if not check["passed"]] \
             == [{"error": "ParameterError: synthetic"}] * 3
 
@@ -801,12 +825,14 @@ def baseline():
 
 
 def _check_numpy(run, baseline, numpy):
-    """A numpy run loads numpy but not ``numpy.ma``. A numpy-free run loads
-    none of ``_HEAVY`` beyond ``baseline``, and no numpy at all."""
+    """A numpy run loads numpy but neither ``numpy.ma`` nor
+    ``numpy.random`` (the dual sweep of ``verify --suite=scalar`` draws from
+    the standard library). A numpy-free run loads none of ``_HEAVY`` beyond
+    ``baseline``, and no numpy at all."""
     loaded = run.loaded - baseline
     if numpy:
         assert "numpy" in loaded
-        assert "numpy.ma" not in loaded
+        assert not {"numpy.ma", "numpy.random"} & loaded
     else:
         assert "numpy" not in run.loaded
         assert not _HEAVY & loaded
@@ -823,7 +849,8 @@ class TestColdStart:
     - its exit: ``cli.entry_point`` has frozen the collector, so that
       teardown's collections skip the objects it is about to free;
     - its imports: a numpy-free command loads nothing it does not run, and a
-      numpy command loads numpy but not ``numpy.ma``.
+      numpy command loads numpy but neither ``numpy.ma`` nor
+      ``numpy.random``.
 
     ``test_snippet`` runs each ``python -c`` snippet once and checks the
     library modules it loads, and numpy, likewise. Loaded modules are

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gausswyner import allocation, oracle, scalar
+from gausswyner import allocation, graywyner, oracle, scalar
 from gausswyner.errors import ParameterError
 
 LN2 = math.log(2.0)
@@ -30,6 +30,8 @@ class TestScalarAchievability:
         assert report.passed
         gap = report.oracle_value - report.closed_form_value
         assert 0.0 <= gap <= 1e-4
+        assert report.details["alpha_construction"] == \
+            scalar.achievability_params(0.5, 0.1).alpha_noise
 
     def test_zero_budget_picks_alpha_zero(self):
         report = oracle.verify_scalar_achievability(0.5, 0.0)
@@ -49,28 +51,6 @@ class TestScalarAchievability:
         with pytest.raises(ParameterError):
             oracle.verify_scalar_achievability(0.5, 1.0)
 
-    def test_checks_the_library_construction(self, monkeypatch):
-        right = scalar.achievability_params(0.5, 0.1)
-        wrong = right._replace(alpha_noise=1.01 * right.alpha_noise)
-        monkeypatch.setattr(scalar, "achievability_params",
-                            lambda rho, gamma: wrong)
-        report = oracle.verify_scalar_achievability(0.5, 0.1)
-        assert not report.passed
-        assert report.details["alpha_construction"] == wrong.alpha_noise
-
-    @pytest.mark.parametrize("shift", [1e-6, -1e-6])
-    def test_shifted_closed_form_fails_every_instance(self, shift,
-                                                      monkeypatch):
-        closed = scalar.wyner_ci_scalar
-        monkeypatch.setattr(scalar, "wyner_ci_scalar",
-                            lambda rho, gamma: closed(rho, gamma) + shift)
-        (_, instances), _ = oracle._SUITE_CHECKS["scalar"]
-        reports = [oracle.verify_scalar_achievability(*args)
-                   for args in instances]
-        assert not any(report.passed for report in reports)
-        assert all(abs(report.details["construction_rate_gap"]) > 9e-7
-                   for report in reports)
-
     def test_report_carries_both_values(self):
         report = oracle.verify_scalar_achievability(0.3, 0.02)
         payload = report.as_dict()
@@ -86,18 +66,8 @@ class TestDualBoundSweep:
 
     def test_strong_duality_where_the_budget_binds(self):
         details = oracle.verify_dual_bound_sweep().details
-        assert details["strong_duality_samples"] == 32
+        assert details["strong_duality_samples"] == 40
         assert details["strong_duality_gap"] <= 1e-15
-
-    @pytest.mark.parametrize("wrong", [
-        lambda dual, *args: -1e9,
-        lambda dual, *args: dual(*args) + 1e-9,
-    ], ids=["constant", "shifted"])
-    def test_wrong_dual_fails(self, wrong, monkeypatch):
-        dual = scalar.dual_objective
-        monkeypatch.setattr(scalar, "dual_objective",
-                            lambda *args: wrong(dual, *args))
-        assert not oracle.verify_dual_bound_sweep().passed
 
 
 class TestWaterfillGrid:
@@ -142,14 +112,9 @@ class TestWaterfillGrid:
         ((0.9, 0.5, 0.2), 0.5, 501), ((0.9, 0.7, 0.2), 0.00075, 101)])
     def test_prices_each_component_once(self, spectrum, gamma, points,
                                         monkeypatch):
-        sizes = []
-        curve = oracle._ci_curve
-
-        def spy(rho, gammas):
-            sizes.append(np.size(gammas))
-            return curve(rho, gammas)
-
-        monkeypatch.setattr(oracle, "_ci_curve", spy)
+        sizes, curve = [], oracle._ci_curve
+        monkeypatch.setattr(oracle, "_ci_curve", lambda rho, gammas: (
+            sizes.append(np.size(gammas)) or curve(rho, gammas)))
         assert oracle.verify_waterfill_grid(spectrum, gamma).passed
         # the lattice axis per component, then waterfill's budget per one
         assert sizes == [points] * len(spectrum) + [1] * len(spectrum)
@@ -200,29 +165,27 @@ class TestWaterfillGrid:
         assert report.oracle_value - report.closed_form_value <= 1e-5
         assert all(g > 0.0 for g in report.details["grid_argmin"])
 
+    @staticmethod
+    def _guarded(monkeypatch, limit, refused, spectrum):
+        """The grid of ``spectrum`` on 100 cells, under ``limit`` points."""
+        monkeypatch.setattr(oracle, "_SIMPLEX_MAX_POINTS", limit)
+        if refused:
+            with pytest.raises(ParameterError, match="points"):
+                oracle.verify_waterfill_grid(spectrum, 0.00075)
+        else:
+            assert oracle.verify_waterfill_grid(spectrum, 0.00075).passed
+
     @pytest.mark.parametrize("limit, refused", [(5150, True), (5151, False)])
     def test_size_guard_counts_the_floor(self, limit, refused, monkeypatch):
         # three components on 100 cells: 101 * 102 / 2 = 5151 lattice points
-        monkeypatch.setattr(oracle, "_SIMPLEX_MAX_POINTS", limit)
-        args = (0.9, 0.7, 0.2), 0.00075
-        if refused:
-            with pytest.raises(ParameterError, match="points"):
-                oracle.verify_waterfill_grid(*args)
-        else:
-            assert oracle.verify_waterfill_grid(*args).passed
+        self._guarded(monkeypatch, limit, refused, (0.9, 0.7, 0.2))
 
     @pytest.mark.parametrize("limit, refused", [(15452, True),
                                                 (15453, False)])
     def test_size_guard_counts_every_inner_fold(self, limit, refused,
                                                 monkeypatch):
         # five components on 100 cells: three inner folds of 5151 points
-        monkeypatch.setattr(oracle, "_SIMPLEX_MAX_POINTS", limit)
-        args = (0.9, 0.8, 0.7, 0.5, 0.2), 0.00075
-        if refused:
-            with pytest.raises(ParameterError, match="points"):
-                oracle.verify_waterfill_grid(*args)
-        else:
-            assert oracle.verify_waterfill_grid(*args).passed
+        self._guarded(monkeypatch, limit, refused, (0.9, 0.8, 0.7, 0.5, 0.2))
 
     def test_every_suite_instance_has_an_active_component(self):
         # a fully saturated instance has value 0 whatever the water level
@@ -231,19 +194,6 @@ class TestWaterfillGrid:
                      for args in instances]
         assert not any(map(all, saturated))
         assert (False, True, True) in saturated
-
-    @pytest.mark.parametrize("factor", [0.995, 1.005])
-    def test_wrong_water_level_fails_the_suite(self, factor, monkeypatch):
-        level = allocation.level_from_budget
-        monkeypatch.setattr(allocation, "level_from_budget",
-                            lambda x: factor * level(x))
-        assert not any(r.passed for r in oracle.run_suite("waterfill"))
-
-    def test_wrong_spend_fails_the_suite(self, monkeypatch):
-        _mutant(monkeypatch, allocation, "waterfill",
-                "spend = (gamma - tail) / k",
-                "spend = 1.01 * (gamma - tail) / k")
-        assert not any(r.passed for r in oracle.run_suite("waterfill"))
 
     def test_rejects_degenerate_component(self):
         with pytest.raises(ParameterError):
@@ -325,14 +275,9 @@ class TestEnvelopeGrid:
     def test_grid_samples_past_the_kink_near_one(self, rho, lam,
                                                   monkeypatch):
         # from rho = 1 - 1/500 up, 1 - 1/500 no longer lies past the kink
-        grids = []
-        objective = oracle._envelope_objective
-
-        def spy(lam_, sig2, q):
-            grids.append(np.asarray(q))
-            return objective(lam_, sig2, q)
-
-        monkeypatch.setattr(oracle, "_envelope_objective", spy)
+        grids, objective = [], oracle._envelope_objective
+        monkeypatch.setattr(oracle, "_envelope_objective", lambda *args: (
+            grids.append(args[2]) or objective(*args)))
         report = oracle.verify_envelope_grid(rho, lam)
         assert report.passed, report
         q = grids[0]
@@ -394,8 +339,7 @@ class TestDiscreteMutualInformation:
 
     @pytest.mark.parametrize("axes_a, axes_b, given", [
         ((0,), (1,), ()), ((0,), (1,), (2,)), ((0, 2), (1,), ()),
-        ((2,), (0,), (1,)), ((1, 0), (2,), ()),
-    ])
+        ((2,), (0,), (1,)), ((1, 0), (2,), ())])
     def test_matches_numpy_marginals(self, axes_a, axes_b, given):
         table = np.random.default_rng(8).uniform(size=(3, 4, 2))
         table /= table.sum()
@@ -466,10 +410,58 @@ class TestErasureConstruction:
             oracle.erasure_construction_check(0.8)
 
 
+# Each library fault that the verify suites must catch is a _mutant edit
+# (old, new) of module.name, one test id each: the checks named in failed
+# fail, and no other, and each detail that a failed check reports holds.
+ACHIEVABILITY = [f"scalar_achievability(rho={rho}, gamma={gamma})" for rho,
+                 gamma in ((0.5, 0.1), (0.8, 0.05), (0.3, 0.02), (0.9, 0.4))]
+DUAL = ["scalar_dual_weak_duality(samples=50)"]
+WATERFILL = ["waterfill_grid(spectrum=[0.9, 0.5], gamma=0.2)",
+             "waterfill_grid(spectrum=[0.8, 0.8], gamma=0.2)",
+             "waterfill_grid(spectrum=[0.9, 0.5, 0.2], gamma=0.5)"]
+BLEND = ["graywyner_dual(rho=0.5, delta=0.75, alpha=0.0)",
+         "graywyner_dual(rho=0.9, delta=0.3, alpha=0.0)"]
+_MUTANTS = [
+    (scalar, "_levels", ACHIEVABILITY + DUAL + WATERFILL, {},
+     [("+ x for", "+ x + 1e-6 for")]),
+    # 1e-6 is under the grid side's tolerance: the exact side catches it
+    (scalar, "wyner_ci_scalar", ACHIEVABILITY + DUAL,
+     {"construction_rate_gap": lambda gap: abs(gap) > 9e-7},
+     [(")[0]", ")[0] + 1e-6"), (")[0]", ")[0] - 1e-6"),
+      ("return _w", "return 1.00001 * _w")]),
+    (scalar, "achievability_params", ACHIEVABILITY, {},
+     [("alpha = min(", "alpha = 0.999 * min("),
+      ("alpha = min(", "alpha = 1.01 * min(")]),
+    (scalar, "dual_objective", DUAL, {},
+     [("r = abs(validate_correlation(rho))", "return -1e9"),
+      ("return (common", "return 1e-9 + (common")]),
+    (oracle, "verify_dual_bound_sweep", DUAL, {},
+     [("1.0 / math.sqrt", "1.01 / math.sqrt"),
+      ("1.0 / math.sqrt", "0.99 / math.sqrt")]),
+    (allocation, "waterfill", WATERFILL, {},
+     [("/ k\n", "/ (k + 0.001)\n"), ("spend = (", "spend = 1.01 * ("),
+      ("budget(spend)", "budget(spend * 1.0001)"),
+      ("beta = level", "beta = 0.995 * level"),
+      ("beta = level", "beta = 1.005 * level"),
+      ("if gamma >= total_cap:", "if gamma < total_cap:")]),
+    (allocation, "waterfill",
+     [WATERFILL[0], "verify_waterfill_grid((0.8, 0.8), 0.2)", WATERFILL[2]],
+     {"error": lambda error: error.startswith("ParameterError: budget ")},
+     [("if spend < cap:", "if spend >= cap:")]),
+    (graywyner, "common_rate", BLEND, {},
+     [("denom = 2.0 * d - (1.0 - r)", "denom = 2.0 * d"),
+      ("nu_star = min(", "nu_star = 1.01 * min(")]),
+    # a log of 2d - 1 < 0 raises at the second BLEND instance
+    (graywyner, "common_rate",
+     [BLEND[0], "verify_graywyner_dual(0.9, 0.3, 0.0)"],
+     {"error": lambda error: error == "ValueError: math domain error"},
+     [("denom = 2.0 * d - (1.0 - r)", "denom = 2.0 * d - 1.0")]),
+]
+
+
 class TestSuites:
     def test_every_named_suite_passes(self):
-        for name in ("scalar", "waterfill", "envelope", "graywyner",
-                     "discrete"):
+        for name in oracle.SUITES[:-1]:
             assert all(r.passed for r in oracle.run_suite(name)), name
 
     def test_all_runs_every_suite_in_order(self):
@@ -483,18 +475,26 @@ class TestSuites:
         with pytest.raises(ParameterError):
             oracle.run_suite("bogus")
 
-    def test_library_error_fails_only_its_check(self, monkeypatch):
-        _mutant(monkeypatch, allocation, "waterfill",
-                "if spend < cap:", "if spend >= cap:")
-        with pytest.raises(ParameterError):
-            oracle.verify_waterfill_grid((0.8, 0.8), 0.2)
-        reports = oracle.run_suite("all")
-        failed = [report for report in reports if not report.passed]
-        assert len(reports) == 23 and len(failed) == 3
-        raised, = (report for report in failed if "error" in report.details)
-        assert raised.name == "verify_waterfill_grid((0.8, 0.8), 0.2)"
-        assert raised.details["error"].startswith("ParameterError: budget ")
-        assert all(map(math.isnan, raised[1:4]))
+    @pytest.mark.parametrize("module, name, failed, details, old, new", [
+        pytest.param(module, name, failed, details, old, new,
+                     id=f"{name}: {new.strip()}")
+        for module, name, failed, details, edits in _MUTANTS
+        for old, new in edits])
+    def test_mutant_fails_exactly_its_checks(self, module, name, failed,
+                                             details, old, new, monkeypatch):
+        _mutant(monkeypatch, module, name, old, new)
+        # _SUITE_CHECKS holds the original verifiers: a mutant one is called
+        reports = ([getattr(oracle, name)()] if module is oracle
+                   else oracle.run_suite("all"))
+        assert module is oracle or len(reports) == 24
+        failures = [report for report in reports if not report.passed]
+        assert [report.name for report in failures] == failed
+        for report in failures:  # a check that raised has NaN values
+            assert ("error" in report.details) == \
+                all(map(math.isnan, report[1:4]))
+            assert all(holds(report.details[key])
+                       for key, holds in details.items()
+                       if key in report.details)
 
 
 PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
