@@ -357,8 +357,9 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
     to its own cap, and a grid node sits exactly on the kink. (A plain
     bounding-box product grid cannot localize the minimizer: the objective
     decreases toward the cap, so off-boundary sampling noise of order
-    cap/500 swamps the shallow curvature along the boundary.) Checks that
-    the grid minimum does not undercut the closed form and that the
+    cap/500 swamps the shallow curvature along the boundary.) Every grid
+    point is feasible, so checks that the grid minimum undercuts the closed
+    form by rounding at most and exceeds it by at most 1e-3, and that the
     minimizer lands within two cells of the analytic optimum
     (sig2, q) = ((1-rho)/(1-lam), lam): in q directly, and in sig2 along
     the cap, on which the optimum lies.
@@ -402,8 +403,18 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
     # sig2*/(1-q*), is steep as q* nears 1: a q offset under one cell can
     # move sig2 by many cells. So sig2 is judged against the cap at q_hat.
     sig2_off = sig2_hat - float(cap[col])
+    # Every grid point is feasible, so the grid may undercut the closed form
+    # only by rounding. Both are a difference of two log terms, each off by
+    # an ulp or so of its size and a few ulps of 1 from its rounded
+    # argument; the closed form's terms are bounded by the objective's two,
+    # T1 and T2, at the optimum, and these by their sizes at the minimizer.
+    sig4_hat = sig2_hat * sig2_hat
+    rounding = 8.0 * sys.float_info.epsilon * (
+        1.0 + abs(0.5 * math.log(_FOUR_PI2E2 * sig4_hat))
+        + abs(0.5 * (1.0 + lam) * math.log(
+            _FOUR_PI2E2 * sig4_hat * ((1.0 - q_hat) * (1.0 + q_hat)))))
 
-    passed = (grid_min >= closed - 1e-3
+    passed = (-rounding <= grid_min - closed <= 1e-3
               and abs(q_hat - q_star) <= 2.0 * q_cell + 1e-12
               and abs(sig2_off) <= 2.0 * sig2_cell + 1e-12
               and abs(kkt_gap) <= 1e-12)

@@ -5,7 +5,6 @@ pytest outcome of each test is the machine-readable verdict. Randomized
 criteria use fixed seeds so the suite is deterministic.
 """
 
-import json
 import math
 import time
 
@@ -13,8 +12,7 @@ import numpy as np
 
 from gausswyner import cli, graywyner, oracle, scalar, vector
 from gausswyner.allocation import waterfill
-from gausswyner.graywyner import Regime, common_rate, dual_objective
-from gausswyner.oracle import _golden_section_max
+from gausswyner.graywyner import common_rate
 from gausswyner.vector import JointGaussianCov, canonical_correlations
 
 from helpers import random_joint_cov, random_invertible
@@ -147,11 +145,11 @@ def test_criterion_6_duality_checks():
             product = float(rng.uniform(0.02, 1.0 - rho))  # SATURATED_NU
         alpha = float(rng.uniform(0.0, 1.0))
         delta = product * math.exp(-alpha)
-        point = common_rate(1.0, rho, delta, alpha)
-        assert point.regime is not Regime.INFEASIBLE_ZERO
-        _, best = _golden_section_max(
-            lambda nu: dual_objective(rho, delta, alpha, nu), 0.5 + 1e-9, 1.0)
-        worst_gw = max(worst_gw, abs(best - point.r0))
+        report = oracle.verify_graywyner_dual(rho, delta, alpha)
+        assert report.passed, report
+        assert report.details["regime"] != "INFEASIBLE_ZERO"
+        worst_gw = max(worst_gw, abs(report.oracle_value
+                                     - report.closed_form_value))
     ok = worst_scalar <= 1e-10 and worst_gw <= 1e-8
     check("criterion 6 (duality checks)", ok,
           f"worst_scalar={worst_scalar:.2e} worst_graywyner={worst_gw:.2e}")

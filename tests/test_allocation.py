@@ -103,24 +103,6 @@ class TestWaterfill:
         assert alloc.total_value == 0.0
         assert alloc.slack == pytest.approx(0.4)
 
-    def test_rejects_unsorted_spectrum(self):
-        with pytest.raises(ParameterError):
-            waterfill([0.2, 0.9], 0.1)
-        # an int too large for a float
-        with pytest.raises(ParameterError):
-            waterfill([10**400], 0.1)
-        with pytest.raises(ParameterError):
-            saturation_breakpoints([10**400])
-
-    def test_rejects_non_numeric_entries(self):
-        for spectrum in (["abc"], [None], [0.9, "abc"]):
-            with pytest.raises(ParameterError,
-                               match="^canonical correlation is not a number$"):
-                waterfill(spectrum, 0.1)
-        # the first offending entry decides the error, in order
-        with pytest.raises(ParameterError, match="lies outside"):
-            waterfill([2.0, None], 0.1)
-
     @pytest.mark.parametrize("call, args, kind", [
         (waterfill, (None, 0.1), "NoneType"),
         (waterfill, (5, 0.1), "int"),
@@ -135,27 +117,8 @@ class TestWaterfill:
                 f"got {kind}$")):
             call(*args)
 
-    def test_keeps_a_type_error_raised_while_iterating(self):
-        # only a spectrum or budgets that are not iterable at all are
-        # rejected as input; an iterator that fails on its own keeps its
-        # error
-        def broken():
-            yield 0.5
-            raise TypeError("broken iterator")
-
-        with pytest.raises(TypeError, match="^broken iterator$"):
-            waterfill(broken(), 0.1)
-        with pytest.raises(TypeError, match="^broken iterator$"):
-            evaluate_allocation([0.9, 0.5], broken())
-
     def test_accepts_an_iterator(self):
         assert waterfill(iter([0.9, 0.5]), 0.1) == waterfill([0.9, 0.5], 0.1)
-
-    def test_rejects_infinite_budget(self):
-        with pytest.raises(ParameterError):
-            waterfill([0.5], math.inf)
-        with pytest.raises(ParameterError):
-            waterfill([0.5], 10**400)
 
     def test_bracket_identities(self):
         # level and budget are conjugate: budget_from_level maps a
@@ -249,32 +212,6 @@ class TestEvaluateAllocation:
         caps = [scalar.mutual_information(r) for r in rhos]
         assert evaluate_allocation(rhos, caps) == 0.0
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            evaluate_allocation([0.9, 0.2], [0.1])
-        # the count is checked before any budget
-        with pytest.raises(ParameterError,
-                           match="^got 3 budgets for 2 components$"):
-            evaluate_allocation([0.9, 0.2], [0.1, "x", 0.1])
-
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ParameterError):
-            evaluate_allocation([0.9], [-0.1])
-        with pytest.raises(ParameterError):
-            evaluate_allocation([0.9], [10**400])
-
-    def test_rejects_non_numeric_budget(self):
-        with pytest.raises(ParameterError, match="^budget is not a number$"):
-            evaluate_allocation([0.5], [None])
-
-    @pytest.mark.parametrize("gammas, kind", [(0.1, "float"),
-                                              (None, "NoneType")])
-    def test_rejects_budgets_that_are_not_iterable(self, gammas, kind):
-        with pytest.raises(ParameterError,
-                           match=f"^expected an iterable of budgets, "
-                                 f"got {kind}$"):
-            evaluate_allocation([0.5], gammas)
-
     def test_accepts_any_iterable_of_budgets(self):
         rhos, gammas = (0.9, 0.5, 0.0), (0.1, 0.2, 0.0)
         expected = evaluate_allocation(rhos, gammas)
@@ -367,6 +304,7 @@ class TestBreakpoints:
 # whole-sequence passes replace. Results must agree by repr (so bit for bit,
 # signed zeros included) and errors by type and message.
 # ---------------------------------------------------------------------------
+
 
 def _ref_common_information(r):
     if r == 1.0:

@@ -78,18 +78,6 @@ class TestScalarCommand:
         assert record["value_nats"] == math.inf
         assert record["achievability"] is None
 
-    def test_rho_out_of_range_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "scalar", "--rho", "1.5",
-                               "--gamma", "0")
-        assert code == 2
-        assert "error" in err
-
-    def test_negative_gamma_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "scalar", "--rho", "0.5",
-                               "--gamma", "-1")
-        assert code == 2
-        assert "error" in err
-
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "scalar", "--rho", "0.37",
                               "--gamma", "0.081")
@@ -196,14 +184,6 @@ class TestVectorCommand:
         assert record["value_nats"] == pytest.approx(
             scalar.wyner_ci_scalar(0.5, 0.05), abs=1e-9)
 
-    def test_malformed_json_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(capsys, "vector", "--input", str(path),
-                               "--gamma", "0")
-        assert code == 2
-        assert "error" in err
-
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}",
         b"[" * 100_000,
@@ -218,21 +198,6 @@ class TestVectorCommand:
         assert err.startswith("error: invalid JSON: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("payload", [
-        {"kx": [[10**400]], "ky": [[1.0]], "kxy": [[0.0]]},
-        {"joint": [[1.0, 0.0], [0.0, -10**400]], "dim_x": 1},
-    ], ids=["blocks", "joint"])
-    def test_int_too_large_for_a_float_exits_2(self, tmp_path, capsys,
-                                                payload):
-        path = tmp_path / "cov.json"
-        path.write_text(json.dumps(payload))
-        code, out, err = run_cli(capsys, "vector", "--input", str(path),
-                                 "--gamma", "0.1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert err.endswith("int too large to convert to float\n")
-
     @pytest.mark.parametrize("dim_x", [1.9, True, "1", None])
     def test_split_that_is_not_whole_exits_2(self, tmp_path, capsys, dim_x):
         path = tmp_path / "cov.json"
@@ -243,44 +208,6 @@ class TestVectorCommand:
         assert code == 2
         assert out == ""
         assert "dim_x must be a whole number" in err
-
-    def test_json_array_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "cov.json"
-        path.write_text("[[1.0, 0.5], [0.5, 1.0]]")
-        code, out, err = run_cli(capsys, "vector", "--input", str(path),
-                                 "--gamma", "0.1")
-        assert (code, out) == (2, "")
-        assert err == "error: covariance file must contain a JSON object\n"
-
-    def test_wrong_keys_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"sigma": [[1.0]]}))
-        code, _, _ = run_cli(capsys, "vector", "--input", str(path),
-                             "--gamma", "0")
-        assert code == 2
-
-    def test_psd_violation_exits_3(self, tmp_path, capsys):
-        payload = {"kx": [[1.0]], "ky": [[1.0]], "kxy": [[2.0]]}
-        path = tmp_path / "cov.json"
-        path.write_text(json.dumps(payload))
-        code, _, err = run_cli(capsys, "vector", "--input", str(path),
-                               "--gamma", "0")
-        assert code == 3
-        assert "eigenvalue" in err
-
-    def test_non_finite_entry_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "cov.json"
-        path.write_text('{"kx": [[1,0],[0,Infinity]], "ky": [[1]], '
-                        '"kxy": [[0.5],[0]]}')
-        code, out, err = run_cli(capsys, "vector", "--input", str(path),
-                                 "--gamma", "0")
-        assert (code, out) == (3, "")
-        assert err == "error: k_x contains non-finite entries\n"
-
-    def test_missing_file_exits_4(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "vector", "--input",
-                             str(tmp_path / "nope.json"), "--gamma", "0")
-        assert code == 4
 
 
 class TestCurveCommand:
@@ -299,21 +226,6 @@ class TestCurveCommand:
         assert by_gamma[0.1] == pytest.approx(0.094603, abs=1e-5)
         for gamma, value, lower in rows:
             assert value >= lower - 1e-12
-
-    def test_too_few_steps_exits_2(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "curve", "--rho", "0.5",
-                             "--gamma-max", "0.1", "--steps", "1",
-                             "--output", str(tmp_path / "x.csv"))
-        assert code == 2
-
-    def test_infinite_gamma_max_exits_2(self, tmp_path, capsys):
-        out_path = tmp_path / "curve.csv"
-        code, out, err = run_cli(capsys, "curve", "--rho=0.5",
-                                 "--gamma-max=inf", "--steps=4",
-                                 f"--output={out_path}")
-        assert (code, out) == (2, "")
-        assert err == "error: gamma-max must be finite\n"
-        assert not out_path.exists()
 
     def test_unwritable_path_exits_4(self, tmp_path, capsys, monkeypatch):
         rows = []
@@ -457,12 +369,6 @@ class TestGrayWynerCommand:
         assert math.isfinite(record["r0_nats"])
         assert math.isfinite(record["nu_star"])
 
-    def test_nonpositive_delta_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "graywyner", "--rho", "0.5",
-                             "--sigma2", "1", "--delta", "-0.1",
-                             "--alpha", "0")
-        assert code == 2
-
 
 class TestVerifyCommand:
     def test_discrete_suite_passes(self, capsys):
@@ -478,11 +384,6 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "scalar")
         assert code == 0
         assert json.loads(out)["all_passed"] is True
-
-    def test_unknown_suite_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["verify", "--suite", "bogus"])
-        assert excinfo.value.code == 2
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         from gausswyner import oracle

@@ -47,10 +47,6 @@ class TestScalarAchievability:
         assert report.details["alpha_best"] == pytest.approx(0.5, abs=1e-9)
         assert report.oracle_value == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_budget_beyond_saturation(self):
-        with pytest.raises(ParameterError):
-            oracle.verify_scalar_achievability(0.5, 1.0)
-
     def test_report_carries_both_values(self):
         report = oracle.verify_scalar_achievability(0.3, 0.02)
         payload = report.as_dict()
@@ -195,12 +191,6 @@ class TestWaterfillGrid:
         assert not any(map(all, saturated))
         assert (False, True, True) in saturated
 
-    def test_rejects_degenerate_component(self):
-        with pytest.raises(ParameterError):
-            oracle.verify_waterfill_grid((1.0, 0.5), 0.5)
-        with pytest.raises(ParameterError):
-            oracle.verify_waterfill_grid((), 0.5)
-
     @pytest.mark.parametrize("spectrum, gamma", [
         ((0.9, 0.5, 0.2), 1000.0),  # ~5e11 points, hours of row loop
         ((0.9, 0.2), 1e6),          # one 8 GB linspace
@@ -251,10 +241,6 @@ class TestEnvelopeGrid:
                 "sig2_star, q_star = (1.0 - rho) / (1.0 - lam), lam",
                 "sig2_star, q_star = 1.01 * (1.0 - rho) / (1.0 - lam), lam")
         assert not oracle.verify_envelope_grid(rho, lam).passed
-
-    def test_rejects_lambda_above_rho(self):
-        with pytest.raises(ParameterError):
-            oracle.verify_envelope_grid(0.3, 0.5)
 
     @pytest.mark.parametrize("rho, lam", [
         (0.5, 1e-15), (0.5, 1e-300), (0.999999999, 1e-300)])
@@ -328,15 +314,6 @@ class TestDiscreteMutualInformation:
         value = oracle.discrete_mutual_information(table, (0,), (1,), given=(2,))
         assert value >= -1e-14
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ParameterError):
-            oracle.discrete_mutual_information(np.full((2, 2), 0.3), (0,), (1,))
-
-    def test_rejects_overlapping_groups(self):
-        pmf = np.full((2, 2), 0.25)
-        with pytest.raises(ParameterError):
-            oracle.discrete_mutual_information(pmf, (0,), (0,))
-
     @pytest.mark.parametrize("axes_a, axes_b, given", [
         ((0,), (1,), ()), ((0,), (1,), (2,)), ((0, 2), (1,), ()),
         ((2,), (0,), (1,)), ((1, 0), (2,), ())])
@@ -393,10 +370,6 @@ class TestDsbsConstruction:
         report = oracle.dsbs_construction_check(0.5)
         assert report.oracle_value == pytest.approx(0.0, abs=1e-14)
 
-    def test_rejects_above_half(self):
-        with pytest.raises(ParameterError):
-            oracle.dsbs_construction_check(0.6)
-
 
 class TestErasureConstruction:
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, LN2])
@@ -404,10 +377,6 @@ class TestErasureConstruction:
         report = oracle.erasure_construction_check(gamma)
         assert report.passed
         assert report.oracle_value == pytest.approx(LN2 - gamma, abs=1e-12)
-
-    def test_rejects_budget_above_entropy(self):
-        with pytest.raises(ParameterError):
-            oracle.erasure_construction_check(0.8)
 
 
 # Each library fault that the verify suites must catch is a _mutant edit
@@ -419,6 +388,8 @@ DUAL = ["scalar_dual_weak_duality(samples=50)"]
 WATERFILL = ["waterfill_grid(spectrum=[0.9, 0.5], gamma=0.2)",
              "waterfill_grid(spectrum=[0.8, 0.8], gamma=0.2)",
              "waterfill_grid(spectrum=[0.9, 0.5, 0.2], gamma=0.5)"]
+ENVELOPE = [f"envelope_grid(rho={rho}, lam={lam})"
+            for rho, lam in ((0.5, 0.3), (0.7, 0.7), (0.9, 0.2))]
 BLEND = ["graywyner_dual(rho=0.5, delta=0.75, alpha=0.0)",
          "graywyner_dual(rho=0.9, delta=0.3, alpha=0.0)"]
 _MUTANTS = [
@@ -438,6 +409,11 @@ _MUTANTS = [
     (oracle, "verify_dual_bound_sweep", DUAL, {},
      [("1.0 / math.sqrt", "1.01 / math.sqrt"),
       ("1.0 / math.sqrt", "0.99 / math.sqrt")]),
+    # an infeasible grid: only the exact side sees it
+    (oracle, "verify_envelope_grid", ENVELOPE, {},
+     [("np.minimum(cap, 1.0)", "np.minimum(cap, 1.0) * 1.0001")]),
+    (oracle, "verify_envelope_grid", ENVELOPE[:2], {},
+     [("np.minimum(cap, 1.0)", "np.minimum(cap, 1.0) * 1.000001")]),
     (allocation, "waterfill", WATERFILL, {},
      [("/ k\n", "/ (k + 0.001)\n"), ("spend = (", "spend = 1.01 * ("),
       ("budget(spend)", "budget(spend * 1.0001)"),
@@ -471,10 +447,6 @@ class TestSuites:
         assert [report.as_dict() for report in oracle.run_suite("all")] \
             == expected
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ParameterError):
-            oracle.run_suite("bogus")
-
     @pytest.mark.parametrize("module, name, failed, details, old, new", [
         pytest.param(module, name, failed, details, old, new,
                      id=f"{name}: {new.strip()}")
@@ -484,8 +456,12 @@ class TestSuites:
                                              details, old, new, monkeypatch):
         _mutant(monkeypatch, module, name, old, new)
         # _SUITE_CHECKS holds the original verifiers: a mutant one is called
-        reports = ([getattr(oracle, name)()] if module is oracle
-                   else oracle.run_suite("all"))
+        # on its instances
+        reports = ([getattr(oracle, name)(*args)
+                    for rows in oracle._SUITE_CHECKS.values()
+                    for verifier, instances in rows
+                    if verifier.__name__ == name for args in instances]
+                   if module is oracle else oracle.run_suite("all"))
         assert module is oracle or len(reports) == 24
         failures = [report for report in reports if not report.passed]
         assert [report.name for report in failures] == failed

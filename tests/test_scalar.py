@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gausswyner import scalar
@@ -197,11 +197,6 @@ class TestTransferCurves:
     def test_budget_at_infinite_level_is_infinite(self):
         assert scalar.budget_from_level(math.inf) == math.inf
 
-    @pytest.mark.parametrize("beta", [-1.0, math.nan])
-    def test_budget_rejects_negative_or_nan_level(self, beta):
-        with pytest.raises(ParameterError, match="water level"):
-            scalar.budget_from_level(beta)
-
     @pytest.mark.parametrize("x", [0.01, 0.1, 1.0])
     def test_round_trip(self, x):
         assert scalar.budget_from_level(scalar.level_from_budget(x)) == \
@@ -254,23 +249,6 @@ class TestWynerCiScalar:
     def test_degenerate_sentinel(self):
         assert scalar.wyner_ci_scalar(1.0, 0.3) == math.inf
         assert scalar.wyner_ci_scalar(-1.0, 0.0) == math.inf
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ParameterError):
-            scalar.wyner_ci_scalar(1.2, 0.1)
-        with pytest.raises(ParameterError):
-            scalar.wyner_ci_scalar(0.5, -0.1)
-        # an int too large for a float
-        with pytest.raises(ParameterError):
-            scalar.wyner_ci_scalar(10**400, 0.1)
-        with pytest.raises(ParameterError):
-            scalar.wyner_ci_scalar(0.5, 10**400)
-        # not a number
-        with pytest.raises(ParameterError,
-                           match="^correlation is not a number$"):
-            scalar.wyner_ci_scalar("abc", 0.1)
-        with pytest.raises(ParameterError, match="^budget is not a number$"):
-            scalar.wyner_ci_scalar(0.5, None)
 
     @given(rho=rhos_open, gamma=budgets)
     def test_negative_correlation_symmetry(self, rho, gamma):
@@ -360,14 +338,6 @@ class TestAchievability:
         assert params.alpha_noise == abs(rho)
         assert _positive_zero(params.rate_nats)
 
-    def test_rejects_beyond_saturation(self):
-        with pytest.raises(ParameterError):
-            scalar.achievability_params(0.5, scalar.mutual_information(0.5) + 1e-6)
-
-    def test_rejects_negative_rho(self):
-        with pytest.raises(ParameterError):
-            scalar.achievability_params(-0.5, 0.0)
-
 
 class TestDual:
     def test_matches_closed_form_at_maximizer(self):
@@ -436,20 +406,6 @@ class TestDual:
             scale = max(1.0, abs(float(want)), scalar.common_information(rho))
             assert abs(float(Decimal(got) - want)) \
                 <= 4.0 * sys.float_info.epsilon * scale, (rho, gamma)
-
-    @pytest.mark.parametrize("rho", [0.0, 1.0])
-    def test_rejects_rho_at_zero_or_one(self, rho):
-        with pytest.raises(ParameterError, match=r"0 < \|rho\| < 1"):
-            scalar.dual_objective(rho, 0.1, 2.0)
-
-    def test_rejects_mu_at_most_one(self):
-        with pytest.raises(ParameterError):
-            scalar.dual_objective(0.5, 0.1, 1.0)
-        with pytest.raises(ParameterError):
-            scalar.dual_objective(0.5, 0.1, 0.5)
-        # an int too large for a float
-        with pytest.raises(ParameterError):
-            scalar.dual_objective(0.5, 0.1, 10**400)
 
     def test_maximizer_stationarity(self):
         mu = scalar.dual_maximizer(0.1)

@@ -19,12 +19,6 @@ def scalar_cov(rho):
 
 
 class TestJointGaussianCov:
-    def test_shape_checks(self):
-        with pytest.raises(ParameterError):
-            JointGaussianCov([[1.0, 0.0]], [[0.0]], [[1.0]])
-        with pytest.raises(ParameterError):
-            JointGaussianCov([[1.0]], [[0.0], [0.0]], [[1.0]])
-
     def test_from_joint_round_trip(self):
         joint = np.array([[2.0, 0.3, 0.1],
                           [0.3, 1.0, 0.2],
@@ -35,20 +29,6 @@ class TestJointGaussianCov:
         np.testing.assert_array_equal(cov.k_xy, joint[:2, 2:])
         np.testing.assert_array_equal(cov.k_y, joint[2:, 2:])
         np.testing.assert_array_equal(cov.k_xy.T, joint[2:, :2])
-
-    def test_from_joint_rejects_bad_split(self):
-        joint = np.eye(3)
-        with pytest.raises(ParameterError):
-            JointGaussianCov.from_joint(joint, 0)
-        with pytest.raises(ParameterError):
-            JointGaussianCov.from_joint(joint, 3)
-        with pytest.raises(ParameterError) as exc:
-            JointGaussianCov.from_joint(joint, 5)
-        assert str(exc.value) == \
-            "dim_x must lie strictly between 0 and 3, got 5"
-        # more digits than str() of an int may print
-        with pytest.raises(ParameterError, match="too long to print"):
-            JointGaussianCov.from_joint(joint, 10**5000)
 
     @pytest.mark.parametrize("dim_x", [1.9, True, False, "1", None,
                                        math.nan, np.True_])
@@ -61,17 +41,6 @@ class TestJointGaussianCov:
     def test_from_joint_accepts_whole_splits(self, dim_x):
         cov = JointGaussianCov.from_joint(np.eye(3), dim_x)
         assert (cov.dim_x, cov.dim_y) == (2, 1)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(ParameterError):
-            JointGaussianCov([["a"]], [[0.0]], [[1.0]])
-        # an int too large for a float
-        with pytest.raises(ParameterError):
-            JointGaussianCov([[10**400]], [[0.0]], [[1.0]])
-        with pytest.raises(ParameterError):
-            JointGaussianCov.from_joint([[1.0, 0.0], [0.0, -10**400]], 1)
-        with pytest.raises(ParameterError):
-            vector.pinv_sqrt([[10**400]])
 
     @pytest.mark.parametrize("dx, dy", [(0, 0), (2, 0), (0, 1)])
     def test_rejects_empty_blocks(self, dx, dy):
@@ -95,40 +64,17 @@ class TestValidateCov:
             getattr(vector, name)([[1.0]], *args)
         assert str(exc.value) == "expected a JointGaussianCov, got list"
 
-    def test_correlation_above_one_fails_psd(self):
-        cov = JointGaussianCov([[1.0]], [[2.0]], [[1.0]])
-        with pytest.raises(CovarianceError, match="eigenvalue"):
-            vector.validate_cov(cov)
-
     def test_random_gram_matrix_passes(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 4))
         s = a.T @ a
         vector.validate_cov(JointGaussianCov.from_joint(s, 2))
 
-    def test_asymmetry_beyond_tolerance_fails(self):
-        kx = np.array([[1.0, 0.1], [0.2, 1.0]])
-        cov = JointGaussianCov(kx, np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(CovarianceError, match="symmetric"):
-            vector.validate_cov(cov)
-
     def test_tiny_asymmetry_is_symmetrized(self):
         kx = np.array([[1.0, 0.1], [0.1 + 1e-12, 1.0]])
         cov = vector.validate_cov(
             JointGaussianCov(kx, np.zeros((2, 2)), np.eye(2)))
         np.testing.assert_allclose(cov.k_x, cov.k_x.T, rtol=0, atol=0)
-
-    def test_non_finite_entries_fail(self):
-        blocks = {"k_x": [[1.0, 0.0], [0.0, 1.0]], "k_xy": [[0.5], [0.0]],
-                  "k_y": [[1.0]]}
-        for name in blocks:
-            for bad in (math.nan, math.inf, -math.inf):
-                block = [row[:] for row in blocks[name]]
-                block[-1][-1] = bad
-                cov = JointGaussianCov(**{**blocks, name: block})
-                with pytest.raises(CovarianceError, match=(
-                        f"^{name} contains non-finite entries$")):
-                    vector.validate_cov(cov)
 
     @pytest.mark.parametrize("s", [1e-170, 1e160])
     def test_asymmetry_detected_at_extreme_scales(self, s):
@@ -203,25 +149,6 @@ class TestPinvSqrt:
         u, s, _ = np.linalg.svd(m)
         expected = u[:, :2] @ u[:, :2].T
         np.testing.assert_allclose(projector, expected, atol=1e-8)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(CovarianceError, match="positive semi-definite"):
-            vector.pinv_sqrt(np.diag([1.0, -1.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(CovarianceError, match="symmetric"):
-            vector.pinv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_rejects_non_finite(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(CovarianceError,
-                               match="^matrix contains non-finite entries$"):
-                vector.pinv_sqrt(np.array([[1.0, 0.0], [0.0, bad]]))
-
-    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
-    def test_rejects_non_square_or_empty(self, shape):
-        with pytest.raises(ParameterError, match="square and non-empty"):
-            vector.pinv_sqrt(np.ones(shape))
 
 
 class TestCanonicalCorrelations:
