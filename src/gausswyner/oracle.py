@@ -1,25 +1,24 @@
-"""Independent brute-force verifiers for every closed form in the package.
+"""Independent verifiers for every closed form in the package.
 
 Each verifier recomputes its target through a different route than the
 library modules: determinant arithmetic on explicitly constructed
-covariances, exhaustive grids, golden-section maximization of the dual
-bounds, and exact entropy sums over finite probability tables. Every check
-returns a :class:`CheckReport` carrying the oracle value and the closed-form
-value side by side; :func:`run_suite` runs the published instance table
-used by the command-line ``verify`` subcommand. Grid sizes, sample counts,
-seeds and the simplex step of :func:`verify_waterfill_grid` are fixed
-constants, so no verifier has a tuning argument; a simplex search whose
-folds would sum more than ``_SIMPLEX_MAX_POINTS`` lattice points is
-refused. The simplex search prices each component once, on one lattice
-axis, and folds the components in one at a time, so its memory grows with
-the axis, not with the simplex.
+covariances, exhaustive grids, a Lagrangian dual certificate of the
+water-filling split, golden-section maximization of the dual bounds, and
+exact entropy sums over finite probability tables. Every check returns a
+:class:`CheckReport` carrying the oracle value and the closed-form value
+side by side; :func:`run_suite` runs the published instance table used by
+the command-line ``verify`` subcommand. Grid sizes, sample counts and seeds
+are fixed constants, so no verifier has a tuning argument. The
+water-filling certificate is global and two-sided to rounding, costs O(k)
+floats for k components, and refuses no spectrum but an empty one or one
+with rho_1 = 1.
 
 Each verifier imports what it runs: numpy comes in only with the grid
-checks (scalar achievability, the water-filling simplex and the envelope
-grid), and :mod:`.allocation` only with the simplex. The dual sweep draws
-its triples from :class:`random.Random`, and it, the Gray-Wyner dual and
-the finite-alphabet checks run on plain floats, so importing this module
-loads neither.
+checks (scalar achievability and the envelope grid), and
+:mod:`.allocation` only with the water-filling certificate. The dual sweep
+draws its triples from :class:`random.Random`, and it, the water-filling
+certificate, the Gray-Wyner dual and the finite-alphabet checks run on
+plain floats, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -52,14 +51,6 @@ _LN2 = math.log(2.0)
 _FOUR_PI2E2 = (2.0 * math.pi * math.e) ** 2
 
 _SCALAR_GRID_SIZE = 100_000   # alpha samples of the achievability sweep
-# lattice points the water-filling folds sum: the published instances use at
-# most 125,751, three components at gamma = 2 about 2.0 million
-_SIMPLEX_MAX_POINTS = 4_000_000
-_SIMPLEX_STEP = 1e-3          # budget per cell of the water-filling lattice
-# Fewest cells of the water-filling lattice: the level's sqrt(2 gamma) slope
-# at 0 makes a one- or two-cell split of a small budget miss by more than
-# the tolerance
-_SIMPLEX_MIN_CELLS = 100
 _DUAL_SAMPLES = 50            # random triples of the weak-duality sweep
 _DUAL_SEED = 7
 _ENVELOPE_POINTS = 500        # q columns, and sig2 samples per column
@@ -223,105 +214,89 @@ def verify_dual_bound_sweep() -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# water-filling simplex grid
+# water-filling split: Lagrangian dual
 # ---------------------------------------------------------------------------
 
-def _ci_curve(rho: float, gammas):
-    """Vectorized scalar closed form; the per-component price the simplex
-    search sums up (the quantity under test is the split, not the scalar)."""
-    import numpy as np
-
-    s = np.sqrt(np.maximum(-np.expm1(-2.0 * gammas), 0.0))
-    return np.maximum(
-        scalar.common_information(rho) - (np.log1p(s) + gammas), 0.0)
+def _split_price(ci: float, g: float) -> float:
+    """C(rho, g) = max(C(rho) - level(g), 0) at C(rho) = ``ci``: the price
+    of a budget g on one component. The level is written as
+    g + log1p(sqrt(1 - e^(-2g))); as atanh(sqrt(1 - e^(-2g))) it would lose
+    digits like e^(2g)."""
+    return max(ci - (g + math.log1p(math.sqrt(-math.expm1(-2.0 * g)))), 0.0)
 
 
 def verify_waterfill_grid(spectrum, gamma: float) -> CheckReport:
-    """Exhaustive simplex search of the budget split versus ``waterfill``.
+    """Certify ``waterfill``'s split by Lagrangian duality.
 
-    The simplex is the lattice of splits into n = max(100, round(gamma/step))
-    parts at the fixed step 1e-3: each component is priced once on
-    ``linspace(0, gamma, n + 1)``, and the components are folded in one at
-    a time. Of k components, each of the k - 2 inner folds sums a triangle
-    of (n + 1)(n + 2)/2 lattice points, and the last fold one row of n + 1.
-    If the triangles, or for k = 2 the row, hold more than
-    ``_SIMPLEX_MAX_POINTS`` points, ``ParameterError`` is raised before any
-    array is built.
+    On [0, I(rho)], C(rho, g) = C(rho) - level(g) is convex and decreasing
+    in g, with slope -1/sqrt(1 - e^(-2g)). So for every multiplier lam >= 0
 
-    Every lattice point is a feasible split, so the grid minimum may
-    undercut the closed form only by rounding; it may exceed it by up to
-    10x the step size. ``waterfill``'s own budgets, priced again here, must
-    add up to its value, and with its slack to ``gamma``, both to rounding.
+        L(lam) = sum_i min over g_i in [0, I(rho_i)] of
+                 [C(rho_i, g_i) + lam g_i] - lam gamma
+
+    bounds the value of every feasible split from below (Boyd and
+    Vandenberghe, ch. 5), and each inner minimum lies at the clipped
+    stationary point g_i = min(-1/2 log1p(-1/lam^2), I(rho_i)). At
+    lam = 1/tanh(beta), beta being ``waterfill``'s level, L meets the
+    optimum; lam is 0 once the budget covers every cap, and infinite at
+    gamma = 0, where every g_i is 0. ``waterfill``'s own budgets, each
+    capped at I(rho_i) and priced again here, bound it from above: they are
+    a feasible split when they add up, with a slack >= 0, to gamma.
+
+    The check passes when the closed form lies within the rounding unit
+    r = 8 k eps max(1, C(rho_1), gamma, lam gamma) of both bounds and the
+    budgets add up to gamma within r: a global, two-sided check to
+    rounding. The prices, caps and level are the oracle's own floats, the
+    cap I(rho) = -1/2 log(1 - rho^2) in a form accurate at both ends. Only
+    an empty spectrum and one with rho_1 = 1 are refused.
     """
-    import numpy as np
-
     from . import allocation
 
     rhos = allocation.as_rhos(spectrum)
     gamma = scalar.validate_budget(gamma)
     if not rhos or rhos[0] >= 1.0:
         raise ParameterError("grid oracle requires components with rho < 1")
-    # n + 1 points per axis, the one point of one component; in floats, so
-    # an infinite count compares too
-    per_axis = max(_SIMPLEX_MIN_CELLS, gamma / _SIMPLEX_STEP) + 1.0
-    points = ((len(rhos) - 2) * per_axis * (per_axis + 1.0) / 2.0
-              if len(rhos) > 2 else per_axis ** (len(rhos) - 1))
-    if points > _SIMPLEX_MAX_POINTS:
-        raise ParameterError(
-            f"simplex of about {points:.3g} points exceeds "
-            f"{_SIMPLEX_MAX_POINTS}")
     alloc = allocation.waterfill(rhos, gamma)
-
-    # one component has the single split (gamma,): two axis points hold it
-    n = (max(_SIMPLEX_MIN_CELLS, round(gamma / _SIMPLEX_STEP))
-         if len(rhos) > 1 else 1)
-    axis = np.linspace(0.0, gamma, n + 1)
-    prices = [_ci_curve(rho, axis) for rho in rhos]
-    # best[m]: the least price of the components folded in so far at m
-    # parts in all, and picks[m] the parts of the one folded in last; the
-    # last fold, of the first component, needs m = n only
-    best, folds = prices[-1], []
-    for c in range(len(rhos) - 2, -1, -1):
-        values, picks = [], {}
-        for m in range(n + 1) if c else (n,):
-            row = prices[c][:m + 1] + best[m::-1]
-            picks[m] = i = int(row.argmin())
-            values.append(row[i])
-        best = np.array(values)
-        folds.append(picks)
-    grid_min = float(best[-1])
-    m, argmin = n, []
-    for picks in reversed(folds):
-        argmin.append(float(axis[picks[m]]))
-        m -= picks[m]
-    argmin = (*argmin, float(axis[m]))
-
-    # Rounding bound of the three sums below: one term per component, each
-    # off by a few roundings of its own size, which is at most C(rho_1) (a
-    # price), gamma (a budget) or about 1 (a saturated component of small
-    # rho repriced at its cap is off by about one ulp of 1, not of C).
-    rounding = (8.0 * len(rhos) * sys.float_info.epsilon
-                * max(1.0, scalar.common_information(rhos[0]), gamma))
-    repriced_gap = float(sum(
-        _ci_curve(rho, np.array([g]))[0]
-        for rho, g in zip(rhos, alloc.gammas))) - alloc.total_value
+    cis = [0.5 * (math.log1p(r) - math.log1p(-r)) for r in rhos]
+    # log1p(-r^2) keeps the digits of small r, the product those near 1
+    caps = [-0.5 * math.log1p(-r * r) if r < 0.5
+            else -0.5 * math.log((1.0 - r) * (1.0 + r)) for r in rhos]
+    beta = alloc.water_level_beta
+    if gamma >= math.fsum(caps):
+        lam, gs = 0.0, caps
+    else:
+        lam = 1.0 / math.tanh(beta) if beta > 0.0 else math.inf
+        g = -0.5 * math.log1p(-1.0 / (lam * lam))
+        gs = [min(g, cap) for cap in caps]
+    # lam g is skipped where g is 0, so that lam = inf gives no inf * 0
+    lam_gamma = lam * gamma if gamma else 0.0
+    dual = math.fsum([*map(_split_price, cis, gs),
+                      *[lam * g for g in gs if g], -lam_gamma])
+    # A saturated budget may exceed the oracle's cap by rounding: capped, the
+    # split stays feasible, and C(rho, .) is 0 past the cap anyway
+    repriced = math.fsum(map(_split_price, cis, map(min, alloc.gammas, caps)))
     budget_gap = math.fsum((*alloc.gammas, alloc.slack)) - gamma
-    tolerance = 10.0 * _SIMPLEX_STEP
-    passed = (-rounding <= grid_min - alloc.total_value <= tolerance
-              and abs(repriced_gap) <= rounding
-              and abs(budget_gap) <= rounding)
+    # One rounding of each term's own size per component: a price is at most
+    # C(rho_1), a budget at most gamma, a product at most lam gamma, and a
+    # saturated price of small rho is off by about an ulp of 1
+    rounding = (8.0 * len(rhos) * sys.float_info.epsilon
+                * max(1.0, cis[0], gamma, lam_gamma))
+    closed = alloc.total_value
+    passed = (abs(closed - dual) <= rounding
+              and abs(repriced - closed) <= rounding
+              and abs(budget_gap) <= rounding and alloc.slack >= 0.0)
     return CheckReport(
         name=f"waterfill_grid(spectrum={list(rhos)}, gamma={gamma})",
-        oracle_value=grid_min,
-        closed_form_value=alloc.total_value,
-        tolerance=tolerance,
+        oracle_value=dual,
+        closed_form_value=closed,
+        tolerance=rounding,
         passed=passed,
         details={
-            "step": _SIMPLEX_STEP,
-            "grid_argmin": argmin,
+            "multiplier": lam,
+            "dual_gap": repriced - dual,
             "waterfill_gammas": list(alloc.gammas),
-            "water_level_beta": alloc.water_level_beta,
-            "repriced_gap": repriced_gap,
+            "water_level_beta": beta,
+            "repriced_gap": repriced - closed,
             "budget_gap": budget_gap,
         },
     )

@@ -4,9 +4,9 @@ the digest of their bytes.
 Each invocation runs ``cli.main`` in this process: ``--version``,
 ``scalar`` (with and without ``--bits``), ``graywyner`` in all three
 regimes (|rho| near 1 and sigma2 at 10^+-300 included), ``curve``,
-``verify --suite=graywyner`` and ``verify --suite=discrete``, the usage
-errors these report with exit code 2, and a ``curve`` whose output folder
-is missing (exit code 4). One SHA-256 over the ``repr`` of every
+``verify`` with ``--suite`` ``waterfill``, ``graywyner`` and ``discrete``,
+the usage errors these report with exit code 2, and a ``curve`` whose
+output folder is missing (exit code 4). One SHA-256 over the ``repr`` of every
 invocation's argv, exit code, stdout, stderr and written CSV pins every
 byte. ``--help`` and argparse's own errors are left out, because their
 text differs across Python 3.10-3.13. The argv are drawn without calling
@@ -24,7 +24,7 @@ import corpus
 
 SEED = 2107
 INVOCATIONS = 400
-DIGEST = "2357c34cfacc1811e86a6ee265d103fb002fc44292ecd79ba4144ec060968c9d"
+DIGEST = "b7ddd5b67c1b9dc6b1f726a4b7687efd5e2f029197c88a9343b8b43dc67d0343"
 
 # "{out}" stands for the CSV path, in a fresh folder on each run, in stderr too
 _OUT = "{out}"
@@ -105,10 +105,11 @@ def _curve(rng):
 
 
 def corpus_argvs(seed=SEED, invocations=INVOCATIONS):
-    """``--version``, the two numpy-free ``verify`` suites and a ``curve``
+    """``--version``, the three numpy-free ``verify`` suites and a ``curve``
     into a missing folder, then ``invocations`` seeded commands: about a
     third ``scalar``, nearly half ``graywyner`` and the rest ``curve``."""
     yield ["--version"]
+    yield ["verify", "--suite=waterfill"]
     yield ["verify", "--suite=graywyner"]
     yield ["verify", "--suite=discrete"]
     yield ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",

@@ -190,7 +190,7 @@ class TestOptimality:
                     alloc.total_value - 1e-9
 
     def test_minkowski_sum_consistency(self):
-        # two components: a fine one-dimensional split search agrees
+        # two components: the oracle's dual certificate agrees
         from gausswyner import oracle
         report = oracle.verify_waterfill_grid((0.7, 0.4), 0.3)
         assert abs(report.oracle_value - report.closed_form_value) <= 1e-3

@@ -48,7 +48,7 @@ class _Broken:
 
 CAP = scalar.mutual_information(0.5)
 EYE3 = np.eye(3)
-PMF = [[0.5, 0.0], [0.0, 0.5]]
+PMF = np.array([[0.5, 0.0], [0.0, 0.5]])  # the pmf rows below pass lists
 HUGE = ("1e400", 10**400), ("-1e400", -10**400), ("1e5000", 10**5000)
 NOT_NUMBERS = (("str", "abc"), ("None", None), ("list", [0.5]),
                ("object", object()))

@@ -2,8 +2,8 @@
 
 import inspect
 import math
+import random
 import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -70,18 +70,17 @@ class TestWaterfillGrid:
     def test_two_component_instance(self):
         report = oracle.verify_waterfill_grid((0.9, 0.2), 1.0)
         assert report.passed
-        assert abs(report.oracle_value - report.closed_form_value) <= 1e-2
+        assert abs(report.oracle_value - report.closed_form_value) \
+            <= report.tolerance
 
     def test_symmetric_pair_optimum_at_even_split(self):
         report = oracle.verify_waterfill_grid((0.8, 0.8), 0.2)
         assert report.passed
-        g1, g2 = report.details["grid_argmin"]
-        assert g1 == pytest.approx(0.1, abs=1e-3)
-        assert g2 == pytest.approx(0.1, abs=1e-3)
+        assert report.details["waterfill_gammas"] == [0.1, 0.1]
 
     def test_single_component_is_exact(self):
-        # the simplex is a point: the grid prices the whole budget on the
-        # one component, and waterfill's exact level differs only by rounding
+        # the whole budget on the one component: the oracle's level and
+        # waterfill's differ only by rounding
         report = oracle.verify_waterfill_grid((0.5,), 0.07)
         assert report.passed
         assert abs(report.oracle_value - report.closed_form_value) <= 1e-10
@@ -103,85 +102,52 @@ class TestWaterfillGrid:
         saturated = allocation.waterfill(spectrum, gamma).saturated
         assert True in saturated and False in saturated
 
-    @pytest.mark.parametrize("spectrum, gamma, points", [
-        ((0.5,), 0.07, 2), ((0.9, 0.5), 0.2, 201),
-        ((0.9, 0.5, 0.2), 0.5, 501), ((0.9, 0.7, 0.2), 0.00075, 101)])
-    def test_prices_each_component_once(self, spectrum, gamma, points,
-                                        monkeypatch):
-        sizes, curve = [], oracle._ci_curve
-        monkeypatch.setattr(oracle, "_ci_curve", lambda rho, gammas: (
-            sizes.append(np.size(gammas)) or curve(rho, gammas)))
-        assert oracle.verify_waterfill_grid(spectrum, gamma).passed
-        # the lattice axis per component, then waterfill's budget per one
-        assert sizes == [points] * len(spectrum) + [1] * len(spectrum)
-
-    @pytest.mark.parametrize("spectrum, gamma", [
-        ((0.9, 0.5), 0.2), ((0.9, 0.5, 0.2), 0.5), ((0.8, 0.8, 0.8), 0.3),
-        ((0.99, 0.3, 0.1), 1.0), ((0.99, 0.5), 2.4),
-        ((0.99, 0.5, 0.2), 2.2), ((0.9, 0.5), 0.1), ((0.9, 0.5, 0.2), 0.05)])
-    def test_finds_the_lattice_minimum(self, spectrum, gamma):
-        # every split of n parts, each priced and summed from the last
-        # component up, as the folds do; n is round(gamma / 1e-3), and 100
-        # in the last two cases. Every component saturates at gamma = 2.4
-        # and 2.2. A row of splits that share the first component's parts
-        # is summed at once: numpy adds float64 as Python adds floats.
-        n = max(100, round(gamma / 1e-3))
-        axis = np.linspace(0.0, gamma, n + 1)
-        prices = [oracle._ci_curve(rho, axis) for rho in spectrum]
-
-        def price(split):
-            terms = [p[i] for p, i in zip(prices, split)]
-            total = terms[-1]
-            for term in terms[-2::-1]:
-                total = term + total
-            return float(total)
-
-        # the last component takes the parts the others leave
-        rows = []
-        for first in range(n + 1) if len(spectrum) == 3 else (None,):
-            left = n if first is None else n - first
-            middle = np.arange(left + 1)
-            row = prices[-2][middle] + prices[-1][left - middle]
-            rows.append(row if first is None else prices[0][first] + row)
+    @pytest.mark.parametrize("spectrum, gamma, multiplier", [
+        pytest.param((0.9, 0.5), 0.0, math.inf, id="gamma 0"),
+        pytest.param((0.9, 0.5), 5.0, 0.0, id="above every cap"),
+        pytest.param((0.999999,), 3.0, None, id="one component"),
+        pytest.param((0.8, 0.8), 0.2, None, id="tie"),
+        pytest.param((0.9, 0.0, 0.0), 0.3, None, id="rho 0"),
+        pytest.param((0.5, 1e-17), 0.1, None, id="rho 1e-17"),
+        pytest.param((1e-17, 1e-17), 1e-40, None, id="rho 1e-17 binding"),
+        # refused by the lattice's size guard: about 5e11 points, and one
+        # 8 GB axis
+        pytest.param((0.9, 0.5, 0.2), 1000.0, 0.0, id="gamma 1000"),
+        pytest.param((0.9, 0.2), 1e6, 0.0, id="gamma 1e6"),
+        pytest.param((0.99, 0.9, 0.8, 0.7, 0.5, 0.3, 0.2, 0.1), 2.0, None,
+                     id="eight components"),
+        # a lattice of one cell put the whole budget on one component
+        pytest.param((0.047072436951203334, 0.047072436951203334),
+                     0.001009930394858843, None, id="small budget tie"),
+        pytest.param((0.9, 0.7, 0.2), 0.00075, None, id="small budget")])
+    def test_edge(self, spectrum, gamma, multiplier):
         report = oracle.verify_waterfill_grid(spectrum, gamma)
-        assert report.oracle_value == min(float(row.min()) for row in rows)
-        argmin = tuple(list(axis).index(g)
-                       for g in report.details["grid_argmin"])
-        assert sum(argmin) == n
-        assert price(argmin) == report.oracle_value
+        assert report.passed, report
+        details = report.details
+        values = [*report[1:4], *details["waterfill_gammas"],
+                  *(details[key] for key in ("multiplier", "dual_gap",
+                                             "water_level_beta",
+                                             "repriced_gap", "budget_gap"))]
+        assert not any(map(math.isnan, values))
+        if multiplier is not None:
+            assert details["multiplier"] == multiplier
+        if multiplier == 0.0:
+            assert allocation.waterfill(spectrum, gamma).slack > 0.0
 
-    @pytest.mark.parametrize("spectrum, gamma", [
-        ((0.047072436951203334, 0.047072436951203334), 0.001009930394858843),
-        ((0.9, 0.7, 0.2), 0.00075)])
-    def test_small_budget_gets_a_fine_lattice(self, spectrum, gamma):
-        # round(gamma/step) is 1 cell: the grid put the whole budget on one
-        # component and exceeded the closed form by 0.019 and 0.028
-        report = oracle.verify_waterfill_grid(spectrum, gamma)
-        assert report.passed
-        assert report.oracle_value - report.closed_form_value <= 1e-5
-        assert all(g > 0.0 for g in report.details["grid_argmin"])
-
-    @staticmethod
-    def _guarded(monkeypatch, limit, refused, spectrum):
-        """The grid of ``spectrum`` on 100 cells, under ``limit`` points."""
-        monkeypatch.setattr(oracle, "_SIMPLEX_MAX_POINTS", limit)
-        if refused:
-            with pytest.raises(ParameterError, match="points"):
-                oracle.verify_waterfill_grid(spectrum, 0.00075)
-        else:
-            assert oracle.verify_waterfill_grid(spectrum, 0.00075).passed
-
-    @pytest.mark.parametrize("limit, refused", [(5150, True), (5151, False)])
-    def test_size_guard_counts_the_floor(self, limit, refused, monkeypatch):
-        # three components on 100 cells: 101 * 102 / 2 = 5151 lattice points
-        self._guarded(monkeypatch, limit, refused, (0.9, 0.7, 0.2))
-
-    @pytest.mark.parametrize("limit, refused", [(15452, True),
-                                                (15453, False)])
-    def test_size_guard_counts_every_inner_fold(self, limit, refused,
-                                                monkeypatch):
-        # five components on 100 cells: three inner folds of 5151 points
-        self._guarded(monkeypatch, limit, refused, (0.9, 0.8, 0.7, 0.5, 0.2))
+    def test_seeded_sweep(self):
+        # k from 1 to 8, a third of the rho log-uniform down to 1e-17, and
+        # gamma 0, uniform up to 1.2x the caps, or log-uniform down to
+        # 1e-12x the caps
+        rng = random.Random(26)
+        for _ in range(2000):
+            rhos = sorted((10.0 ** rng.uniform(-17.0, -1e-9)
+                           if rng.random() < 1.0 / 3.0 else rng.random())
+                          for _ in range(rng.randint(1, 8)))[::-1]
+            caps = math.fsum(map(scalar.mutual_information, rhos))
+            gamma = rng.choice((0.0, rng.uniform(0.0, 1.2) * caps,
+                                caps * 10.0 ** rng.uniform(-12.0, 0.0)))
+            report = oracle.verify_waterfill_grid(rhos, gamma)
+            assert report.passed, report
 
     def test_every_suite_instance_has_an_active_component(self):
         # a fully saturated instance has value 0 whatever the water level
@@ -190,16 +156,6 @@ class TestWaterfillGrid:
                      for args in instances]
         assert not any(map(all, saturated))
         assert (False, True, True) in saturated
-
-    @pytest.mark.parametrize("spectrum, gamma", [
-        ((0.9, 0.5, 0.2), 1000.0),  # ~5e11 points, hours of row loop
-        ((0.9, 0.2), 1e6),          # one 8 GB linspace
-    ])
-    def test_rejects_huge_grid_before_building_it(self, spectrum, gamma):
-        start = time.perf_counter()
-        with pytest.raises(ParameterError, match="points"):
-            oracle.verify_waterfill_grid(spectrum, gamma)
-        assert time.perf_counter() - start < 0.1
 
 
 class TestEnvelopeGrid:
@@ -414,6 +370,9 @@ _MUTANTS = [
      [("np.minimum(cap, 1.0)", "np.minimum(cap, 1.0) * 1.0001")]),
     (oracle, "verify_envelope_grid", ENVELOPE[:2], {},
      [("np.minimum(cap, 1.0)", "np.minimum(cap, 1.0) * 1.000001")]),
+    # a multiplier off its optimum: only the dual side sees it
+    (oracle, "verify_waterfill_grid", WATERFILL, {},
+     [("1.0 / math.tanh", "1.01 / math.tanh")]),
     (allocation, "waterfill", WATERFILL, {},
      [("/ k\n", "/ (k + 0.001)\n"), ("spend = (", "spend = 1.01 * ("),
       ("budget(spend)", "budget(spend * 1.0001)"),
