@@ -19,7 +19,7 @@ import sys
 
 # Each command imports the library modules it runs, and json only where JSON
 # is read or written, so a command loads nothing it does not use: numpy comes
-# in only with vector and with the verify suites that build grids
+# in only with vector
 from . import __version__
 from ._suites import SUITES
 from .errors import CovarianceError, ParameterError

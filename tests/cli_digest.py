@@ -4,7 +4,7 @@ the digest of their bytes.
 Each invocation runs ``cli.main`` in this process: ``--version``,
 ``scalar`` (with and without ``--bits``), ``graywyner`` in all three
 regimes (|rho| near 1 and sigma2 at 10^+-300 included), ``curve``,
-``verify`` with ``--suite`` ``waterfill``, ``graywyner`` and ``discrete``,
+``verify`` with each ``--suite``,
 the usage errors these report with exit code 2, and a ``curve`` whose
 output folder is missing (exit code 4). One SHA-256 over the ``repr`` of every
 invocation's argv, exit code, stdout, stderr and written CSV pins every
@@ -24,7 +24,7 @@ import corpus
 
 SEED = 2107
 INVOCATIONS = 400
-DIGEST = "b7ddd5b67c1b9dc6b1f726a4b7687efd5e2f029197c88a9343b8b43dc67d0343"
+DIGEST = "9261d55b2abd285ec129c12c42a911a6067777e3da94c7f6968eb49d7c5b311f"
 
 # "{out}" stands for the CSV path, in a fresh folder on each run, in stderr too
 _OUT = "{out}"
@@ -105,13 +105,13 @@ def _curve(rng):
 
 
 def corpus_argvs(seed=SEED, invocations=INVOCATIONS):
-    """``--version``, the three numpy-free ``verify`` suites and a ``curve``
+    """``--version``, ``verify`` with each suite and a ``curve``
     into a missing folder, then ``invocations`` seeded commands: about a
     third ``scalar``, nearly half ``graywyner`` and the rest ``curve``."""
     yield ["--version"]
-    yield ["verify", "--suite=waterfill"]
-    yield ["verify", "--suite=graywyner"]
-    yield ["verify", "--suite=discrete"]
+    for suite in ("scalar", "waterfill", "envelope", "graywyner", "discrete",
+                  "all"):
+        yield ["verify", f"--suite={suite}"]
     yield ["curve", "--rho=0.5", "--gamma-max=0.1", "--steps=4",
            f"--output={_OUT}/missing/curve.csv"]
     rng = random.Random(seed)

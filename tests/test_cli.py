@@ -632,14 +632,15 @@ def _process(*args):
 # inspect it pulls in.
 _HEAVY = {"numpy", "dataclasses", "inspect"}
 # Modules a numpy-free command must not load either, because it does not run
-# them: by subcommand, and for verify by suite (the waterfill suite runs
-# waterfill).
+# them: by subcommand, and for verify by suite (the waterfill suite, and so
+# all, runs waterfill).
 _UNUSED = {"scalar": {"gausswyner.allocation", "gausswyner.graywyner"},
            "curve": {"gausswyner.allocation", "gausswyner.graywyner", "json"},
            "graywyner": {"gausswyner.allocation"},
-           "--suite=graywyner": {"gausswyner.allocation"},
-           "--suite=discrete": {"gausswyner.allocation"},
-           "--suite=waterfill": set()}
+           **{f"--suite={suite}": {"gausswyner.allocation"}
+              for suite in ("scalar", "envelope", "graywyner", "discrete")},
+           "--suite=waterfill": set(),
+           "--suite=all": set()}
 
 # Each ``python -m gausswyner`` command that a process test runs, by name:
 # its argv, its exit code and whether it loads numpy. ``{tmp}`` names the
@@ -653,9 +654,10 @@ _COMMANDS = {
     "verify-graywyner": (["verify", "--suite=graywyner"], 0, False),
     "verify-discrete": (["verify", "--suite=discrete"], 0, False),
     "vector": (["vector", "--input={tmp}/cov.json", "--gamma=0.1"], 0, True),
-    "verify-scalar": (["verify", "--suite=scalar"], 0, True),
+    "verify-scalar": (["verify", "--suite=scalar"], 0, False),
     "verify-waterfill": (["verify", "--suite=waterfill"], 0, False),
-    "verify-envelope": (["verify", "--suite=envelope"], 0, True),
+    "verify-envelope": (["verify", "--suite=envelope"], 0, False),
+    "verify-all": (["verify", "--suite=all"], 0, False),
     "argparse-error": (["scalar", "--rho=0.5"], 2, False),
     "parameter-error": (["scalar", "--rho=2", "--gamma=0.1"], 2, False),
     "indefinite-vector": (["vector", "--input={tmp}/indefinite.json",
@@ -730,8 +732,7 @@ def baseline():
 
 def _check_numpy(run, baseline, numpy):
     """A numpy run loads numpy but neither ``numpy.ma`` nor
-    ``numpy.random`` (the dual sweep of ``verify --suite=scalar`` draws from
-    the standard library). A numpy-free run loads none of ``_HEAVY`` beyond
+    ``numpy.random``. A numpy-free run loads none of ``_HEAVY`` beyond
     ``baseline``, and no numpy at all."""
     loaded = run.loaded - baseline
     if numpy:

@@ -210,7 +210,8 @@ LIBRARY = [
         ("1e400", ([[10**400]],), f"matrix is not numeric: {FLOAT}")]),
     *_rows(oracle.verify_scalar_achievability, [
         ("rho str", ("x", 0.1), "correlation is not a number"),
-        ("rho nan", (math.nan, 0.1), "sweep requires 0 < rho < 1, got nan"),
+        ("rho nan", (math.nan, 0.1),
+         "achievability check requires 0 < rho < 1, got nan"),
         ("gamma 1", (0.5, 1.0),
          f"budget 1.0 exceeds the pair's mutual information {CAP!r}")]),
     *_rows(oracle.verify_waterfill_grid, [
@@ -218,8 +219,7 @@ LIBRARY = [
     *_rows(oracle.verify_envelope_grid, [
         ("rho str", ("a", 0.3), "correlation is not a number"),
         ("lam str", (0.5, "a"), "envelope multiplier is not a number"),
-        # above rho; then too small, where the grid is flat along sig2 and
-        # cannot place the minimizer
+        # above rho; then below the documented floor of 1e-11
         *[(f"rho {rho} lam {lam}", (rho, lam),
            f"{ENVELOPE}lam={lam!r}, rho={rho!r}")
           for rho, lam in ((0.3, 0.5), (0.5, 1e-15), (0.5, 1e-300),

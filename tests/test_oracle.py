@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+import sys
 import textwrap
 
 import numpy as np
@@ -12,6 +13,7 @@ from gausswyner import allocation, graywyner, oracle, scalar
 from gausswyner.errors import ParameterError
 
 LN2 = math.log(2.0)
+EPS = sys.float_info.epsilon
 
 
 def _mutant(monkeypatch, module, name, old, new):
@@ -29,14 +31,15 @@ class TestScalarAchievability:
         report = oracle.verify_scalar_achievability(0.5, 0.1)
         assert report.passed
         gap = report.oracle_value - report.closed_form_value
-        assert 0.0 <= gap <= 1e-4
+        assert abs(gap) <= report.tolerance
         assert report.details["alpha_construction"] == \
             scalar.achievability_params(0.5, 0.1).alpha_noise
 
     def test_zero_budget_picks_alpha_zero(self):
         report = oracle.verify_scalar_achievability(0.5, 0.0)
         assert report.passed
-        assert report.details["alpha_best"] == 0.0
+        assert report.details["alpha_construction"] == 0.0
+        assert report.details["multiplier"] == math.inf
         assert report.oracle_value == pytest.approx(
             scalar.common_information(0.5), abs=1e-12)
 
@@ -44,8 +47,22 @@ class TestScalarAchievability:
         cap = scalar.mutual_information(0.5)
         report = oracle.verify_scalar_achievability(0.5, cap)
         assert report.passed
-        assert report.details["alpha_best"] == pytest.approx(0.5, abs=1e-9)
+        assert report.details["alpha_construction"] == \
+            pytest.approx(0.5, abs=1e-9)
         assert report.oracle_value == pytest.approx(0.0, abs=1e-12)
+
+    def test_small_and_near_one_correlations_to_rounding(self):
+        # rho = 10^-e at 0.1, 0.5 and 0.9 of the cap: taken as ratios of
+        # determinants, the rate and the leakage cancel there, and a grid
+        # that read them so undercut the closed form by 5.5e-10 at
+        # (1e-9, 1e-19)
+        cases = [(10.0 ** -e, f * scalar.mutual_information(10.0 ** -e))
+                 for e in range(1, 16) for f in (0.1, 0.5, 0.9)]
+        for rho, gamma in [*cases, (1e-9, 1e-19), (0.999999, 5.0)]:
+            report = oracle.verify_scalar_achievability(rho, gamma)
+            assert report.passed, report
+            assert abs(report.oracle_value - report.closed_form_value) \
+                <= report.tolerance
 
     def test_report_carries_both_values(self):
         report = oracle.verify_scalar_achievability(0.3, 0.02)
@@ -184,8 +201,9 @@ class TestEnvelopeGrid:
         (0.998, 0.9), (0.999, 0.9), (0.999999, 0.999999),
         (1.0 - 1e-9, 1.0 - 1e-9)])
     def test_passes_where_the_cap_is_steep(self, rho, lam):
-        # at the first two pairs, a q offset under one cell is 9.0 and 6.3
-        # sig2 cells along the cap, whose slope is sig2*/(1 - q*)
+        # the cap's slope there, sig2*/(1 - q*), is steep: a q offset under
+        # one cell moves sig2 along it by 9.0 and 6.3 of its own cells at
+        # the first two pairs
         report = oracle.verify_envelope_grid(rho, lam)
         assert report.passed, report
         assert max(report.details["cells_off"]) <= 2.0
@@ -201,8 +219,7 @@ class TestEnvelopeGrid:
     @pytest.mark.parametrize("rho, lam", [
         (0.5, 1e-15), (0.5, 1e-300), (0.999999999, 1e-300)])
     def test_rejects_lambda_too_small_for_the_grid(self, rho, lam):
-        # the grid is flat along sig2 there and cannot place the minimizer,
-        # so a valid input would read as a failed check
+        # below the documented floor, _ENVELOPE_MIN_LAM
         with pytest.raises(ParameterError, match="lam"):
             oracle.verify_envelope_grid(rho, lam)
 
@@ -222,8 +239,7 @@ class TestEnvelopeGrid:
             grids.append(args[2]) or objective(*args)))
         report = oracle.verify_envelope_grid(rho, lam)
         assert report.passed, report
-        q = grids[0]
-        assert np.any((q > rho) & (q < 1.0))
+        assert any(rho < q < 1.0 for q in grids[0])
 
 
 class TestGrayWynerDual:
@@ -351,7 +367,6 @@ BLEND = ["graywyner_dual(rho=0.5, delta=0.75, alpha=0.0)",
 _MUTANTS = [
     (scalar, "_levels", ACHIEVABILITY + DUAL + WATERFILL, {},
      [("+ x for", "+ x + 1e-6 for")]),
-    # 1e-6 is under the grid side's tolerance: the exact side catches it
     (scalar, "wyner_ci_scalar", ACHIEVABILITY + DUAL,
      {"construction_rate_gap": lambda gap: abs(gap) > 9e-7},
      [(")[0]", ")[0] + 1e-6"), (")[0]", ")[0] - 1e-6"),
@@ -359,17 +374,22 @@ _MUTANTS = [
     (scalar, "achievability_params", ACHIEVABILITY, {},
      [("alpha = min(", "alpha = 0.999 * min("),
       ("alpha = min(", "alpha = 1.01 * min(")]),
+    # a multiplier off 1/alpha: only the stationarity side sees it
+    (oracle, "verify_scalar_achievability", ACHIEVABILITY,
+     {"least_eigenvalue": lambda least: least < -6.0 * EPS,
+      "slackness_residual": lambda residual: residual > 6.0 * EPS},
+     [("1.0 / alpha", "1.01 / alpha")]),
     (scalar, "dual_objective", DUAL, {},
      [("r = abs(validate_correlation(rho))", "return -1e9"),
       ("return (common", "return 1e-9 + (common")]),
     (oracle, "verify_dual_bound_sweep", DUAL, {},
      [("1.0 / math.sqrt", "1.01 / math.sqrt"),
       ("1.0 / math.sqrt", "0.99 / math.sqrt")]),
-    # an infeasible grid: only the exact side sees it
+    # an infeasible cap: only the exact side sees it
     (oracle, "verify_envelope_grid", ENVELOPE, {},
-     [("np.minimum(cap, 1.0)", "np.minimum(cap, 1.0) * 1.0001")]),
+     [("1.0) for x in q]", "1.0) * 1.0001 for x in q]")]),
     (oracle, "verify_envelope_grid", ENVELOPE[:2], {},
-     [("np.minimum(cap, 1.0)", "np.minimum(cap, 1.0) * 1.000001")]),
+     [("1.0) for x in q]", "1.0) * 1.000001 for x in q]")]),
     # a multiplier off its optimum: only the dual side sees it
     (oracle, "verify_waterfill_grid", WATERFILL, {},
      [("1.0 / math.tanh", "1.01 / math.tanh")]),
