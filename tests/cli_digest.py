@@ -24,7 +24,7 @@ import corpus
 
 SEED = 2107
 INVOCATIONS = 400
-DIGEST = "9261d55b2abd285ec129c12c42a911a6067777e3da94c7f6968eb49d7c5b311f"
+DIGEST = "d7ecf6161b6883135336a2593cfddb3a19aa7bac48b561bcaea028bebc8954e1"
 
 # "{out}" stands for the CSV path, in a fresh folder on each run, in stderr too
 _OUT = "{out}"

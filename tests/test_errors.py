@@ -60,7 +60,7 @@ BETWEEN = "dim_x must lie strictly between 0 and 3, got "
 FLOAT = "int too large to convert to float"  # Python's own, on 3.10-3.13
 NOT_PSD = ("stacked covariance is not positive semi-definite: min eigenvalue "
            "-1.000000e+00 after whitening each block")
-ENVELOPE = "envelope grid requires 1e-11 <= lam <= rho < 1, got "
+ENVELOPE = "envelope grid requires 0 < lam <= rho < 1, got "
 NO_GRID = "grid oracle requires components with rho < 1"
 AXES = "axis groups must be sequences of ints, got "
 
@@ -219,14 +219,15 @@ LIBRARY = [
     *_rows(oracle.verify_envelope_grid, [
         ("rho str", ("a", 0.3), "correlation is not a number"),
         ("lam str", (0.5, "a"), "envelope multiplier is not a number"),
-        # above rho; then below the documented floor of 1e-11
+        # above rho, and at 0
         *[(f"rho {rho} lam {lam}", (rho, lam),
            f"{ENVELOPE}lam={lam!r}, rho={rho!r}")
-          for rho, lam in ((0.3, 0.5), (0.5, 1e-15), (0.5, 1e-300),
-                           (0.999999999, 1e-300))]]),
+          for rho, lam in ((0.3, 0.5), (0.5, 0.0))]]),
     *_rows(oracle.verify_graywyner_dual, [
         ("delta -0.1", (0.5, -0.1, 0.0),
-         "delta must be a positive finite number, got -0.1")]),
+         "delta must be a positive finite number, got -0.1"),
+        *[(f"rho {rho}", (rho, 0.5, 0.0), "dual bound requires |rho| < 1")
+          for rho in (1.0, -1.0)]]),
     *_rows(oracle.dsbs_construction_check, [
         ("str", ("a",), "disagreement probability is not a number"),
         ("0.6", (0.6,), "disagreement probability 0.6 must lie in (0, 1/2]")]),

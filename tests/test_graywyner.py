@@ -284,11 +284,12 @@ class TestDualMaximizer:
     @pytest.mark.parametrize("rho, delta, alpha", [
         (0.5, 0.75, 0.0), (0.3, 0.9, 0.0), (0.9, 0.5, 0.2), (0.7, 0.4, 0.0)])
     def test_matches_golden_section_maximizer(self, rho, delta, alpha):
+        # named for the search the oracle ran before its exact maximizer
         point = common_rate(1.0, rho, delta, alpha)
         assert point.regime is Regime.BLEND
         report = oracle.verify_graywyner_dual(rho, delta, alpha)
-        assert report.details["nu_hat"] == pytest.approx(point.nu_star,
-                                                         abs=1e-6)
+        assert abs(report.details["nu_hat"] - point.nu_star) \
+            <= report.tolerance
 
     @settings(max_examples=300, deadline=None)
     @given(rho=st.floats(-1.0, 1.0),

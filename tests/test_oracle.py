@@ -180,8 +180,9 @@ class TestEnvelopeGrid:
         report = oracle.verify_envelope_grid(0.5, 0.3)
         assert report.passed
         assert report.oracle_value >= report.closed_form_value - 1e-3
-        sig_cells, q_cells = report.details["cells_off"]
-        assert sig_cells <= 2.0 and q_cells <= 2.0
+        # the objective is convex along the cap, so the grid minimizer is
+        # one of the two nodes around q* = lam
+        assert report.details["cells_off"] <= 1.0
 
     def test_boundary_instance_lands_on_kink(self):
         report = oracle.verify_envelope_grid(0.7, 0.7)
@@ -206,7 +207,7 @@ class TestEnvelopeGrid:
         # the first two pairs
         report = oracle.verify_envelope_grid(rho, lam)
         assert report.passed, report
-        assert max(report.details["cells_off"]) <= 2.0
+        assert report.details["cells_off"] <= 1.0
 
     @pytest.mark.parametrize("rho, lam", [
         (0.5, 0.3), (0.7, 0.7), (0.9, 0.2), (0.998, 0.9), (0.999, 0.9)])
@@ -217,16 +218,29 @@ class TestEnvelopeGrid:
         assert not oracle.verify_envelope_grid(rho, lam).passed
 
     @pytest.mark.parametrize("rho, lam", [
+        *[pytest.param(rho, 5e-324, id=str(rho))
+          for rho in (1e-11, 0.1, 0.5, 0.9, 0.999999999)],
+        # refused while lam had a floor of 1e-11
         (0.5, 1e-15), (0.5, 1e-300), (0.999999999, 1e-300)])
-    def test_rejects_lambda_too_small_for_the_grid(self, rho, lam):
-        # below the documented floor, _ENVELOPE_MIN_LAM
-        with pytest.raises(ParameterError, match="lam"):
-            oracle.verify_envelope_grid(rho, lam)
-
-    @pytest.mark.parametrize("rho", [1e-11, 0.1, 0.5, 0.9, 0.999999999])
-    def test_smallest_accepted_lambda_passes(self, rho):
-        report = oracle.verify_envelope_grid(rho, oracle._ENVELOPE_MIN_LAM)
+    def test_smallest_accepted_lambda_passes(self, rho, lam):
+        # at these lam the objective along the cap is -1/2 log(1 - q^2)
+        # plus a term under 1e-13, least at q = 0
+        report = oracle.verify_envelope_grid(rho, lam)
         assert report.passed, report
+        assert report.details["cells_off"] <= 1.0
+
+    def test_seeded_sweep_down_to_the_smallest_lambda(self):
+        # rho uniform or within 1e-15 to 1 of 1, and lam log-uniform from
+        # 5e-324 up to rho
+        rng = random.Random(28)
+        for _ in range(300):
+            rho = rng.choice((rng.random(),
+                              1.0 - 10.0 ** rng.uniform(-15.0, 0.0)))
+            lam = min(max(10.0 ** rng.uniform(-323.3, math.log10(rho)),
+                          5e-324), rho)
+            report = oracle.verify_envelope_grid(rho, lam)
+            assert report.passed, report
+            assert report.details["cells_off"] <= 1.0
 
     @pytest.mark.parametrize("rho, lam", [
         (0.999, 0.3), (0.999, 0.999), (0.9999, 0.3), (0.9999, 0.9999),
@@ -246,18 +260,65 @@ class TestGrayWynerDual:
     def test_blend_instance(self):
         report = oracle.verify_graywyner_dual(0.5, 0.75, 0.0)
         assert report.passed
-        assert report.details["nu_hat"] == pytest.approx(0.75, abs=1e-5)
+        # d/(2d - (1 - r)) = 0.75, and the dual there is 1/2 log(1.5/1)
+        assert report.details["nu_hat"] == pytest.approx(0.75, abs=2 * EPS)
+        assert report.oracle_value == pytest.approx(0.5 * math.log(1.5),
+                                                    abs=2 * EPS)
+        assert report.tolerance <= 1e-14
 
     def test_saturated_instance_maximizes_at_one(self):
         report = oracle.verify_graywyner_dual(0.5, 0.3, 0.0)
         assert report.passed
-        assert report.details["nu_hat"] == pytest.approx(1.0, abs=1e-6)
+        assert report.details["nu_hat"] == 1.0
 
     def test_infeasible_instance_stays_nonpositive(self):
         report = oracle.verify_graywyner_dual(0.5, 1.5, 0.0)
         assert report.passed
         assert report.closed_form_value == 0.0
-        assert report.oracle_value <= 1e-12
+        # 1/2 log((1 + r)/(2d - (1 - r))) = 1/2 log(1.5/2.5)
+        assert report.oracle_value == pytest.approx(0.5 * math.log(0.6),
+                                                    abs=2 * EPS)
+
+    @pytest.mark.parametrize("rho, delta, alpha", [
+        (0.5, 0.3, 800.0), (0.5, 1e300, 0.0), (0.5, 2.0, 1e300),
+        (1.0 - 2.0 ** -53, 0.3, 800.0)])
+    def test_maximizer_rounding_to_one_half(self, rho, delta, alpha):
+        # (1 - r)/d is under an ulp of 1/2, and e^alpha alone overflows
+        # at the first and the last; the smallest float above 1/2 stands in
+        # for the maximizer
+        report = oracle.verify_graywyner_dual(rho, delta, alpha)
+        assert report.passed, report
+        assert report.details["nu_hat"] == math.nextafter(0.5, 1.0)
+        assert report.details["regime"] == "INFEASIBLE_ZERO"
+
+    def test_seeded_sweep(self):
+        # first the edges: d = 1 - r, d = 1 and just above it, 1 - r at
+        # 1e-12 and at an ulp, r = 0 (-0.0 too) and delta 5e-324; then
+        # 1 - r log-uniform down to 1e-12, both signs of rho, alpha 0, up
+        # to 3 or up to 800, and d = delta e^alpha aimed at each regime and
+        # at both edges, delta down to 5e-324
+        rng = random.Random(28)
+        regimes = set()
+        for edge in ((0.5, 0.5, 0.0), (0.5, 1.0, 0.0),
+                     (0.5, 1.0 + 1e-15, 0.0), (1.0 - 1e-12, 1e-12, 0.0),
+                     (1.0 - 2.0 ** -53, 1e-300, 0.0), (0.0, 0.5, 0.0),
+                     (-0.0, 1.0, 0.0), (1e-300, 5e-324, 744.0)):
+            report = oracle.verify_graywyner_dual(*edge)
+            assert report.passed, report
+        for _ in range(5000):
+            r = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+            alpha = rng.choice((0.0, rng.uniform(0.0, 3.0),
+                                rng.uniform(0.0, 800.0)))
+            log_c = math.log1p(-r)
+            log_d = rng.choice((log_c - rng.uniform(0.0, 700.0),
+                                math.log(1.0 - r + rng.random() * r),
+                                log_c, 0.0, rng.uniform(0.0, 800.0)))
+            delta = max(math.exp(min(log_d - alpha, 709.0)), 5e-324)
+            report = oracle.verify_graywyner_dual(rng.choice((r, -r)), delta,
+                                                  alpha)
+            assert report.passed, report
+            regimes.add(report.details["regime"])
+        assert len(regimes) == 3
 
 
 class TestDiscreteMutualInformation:
@@ -362,8 +423,11 @@ WATERFILL = ["waterfill_grid(spectrum=[0.9, 0.5], gamma=0.2)",
              "waterfill_grid(spectrum=[0.9, 0.5, 0.2], gamma=0.5)"]
 ENVELOPE = [f"envelope_grid(rho={rho}, lam={lam})"
             for rho, lam in ((0.5, 0.3), (0.7, 0.7), (0.9, 0.2))]
-BLEND = ["graywyner_dual(rho=0.5, delta=0.75, alpha=0.0)",
-         "graywyner_dual(rho=0.9, delta=0.3, alpha=0.0)"]
+GRAYWYNER = [f"graywyner_dual(rho={rho}, delta={delta}, alpha={alpha})"
+             for rho, delta, alpha in ((0.5, 0.75, 0.0), (0.5, 0.3, 0.0),
+                                       (0.5, 0.1, 0.5), (0.7, 1.5, 0.0),
+                                       (0.9, 0.3, 0.0))]
+BLEND = [GRAYWYNER[0], GRAYWYNER[4]]
 _MUTANTS = [
     (scalar, "_levels", ACHIEVABILITY + DUAL + WATERFILL, {},
      [("+ x for", "+ x + 1e-6 for")]),
@@ -403,6 +467,13 @@ _MUTANTS = [
      [WATERFILL[0], "verify_waterfill_grid((0.8, 0.8), 0.2)", WATERFILL[2]],
      {"error": lambda error: error.startswith("ParameterError: budget ")},
      [("if spend < cap:", "if spend >= cap:")]),
+    # a library dual off by 1e-9: only its comparison at nu_hat sees it
+    (graywyner, "dual_objective", GRAYWYNER,
+     {"library_dual_gap": lambda gap: gap > 9e-10},
+     [("return (nu", "return 1e-9 + (nu")]),
+    # a maximizer off the optimum: strong duality and nu_star see it
+    (oracle, "verify_graywyner_dual", BLEND, {},
+     [("1.0 / (2.0 - math.exp", "1.01 / (2.0 - math.exp")]),
     (graywyner, "common_rate", BLEND, {},
      [("denom = 2.0 * d - (1.0 - r)", "denom = 2.0 * d"),
       ("nu_star = min(", "nu_star = 1.01 * min(")]),
