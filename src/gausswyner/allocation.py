@@ -12,12 +12,19 @@ are active. :func:`waterfill` solves it that way;
 :func:`saturation_breakpoints` lists the budgets at which components drop
 out.
 
-Each function checks its spectrum once, in :func:`as_rhos`, and then prices
-the components through the unchecked sequence kernels of :mod:`.scalar`: one
-list comprehension per closed form, with no Python call per component. A
-saturated component adds nothing to the water-filling value, so
-:func:`waterfill` computes C(rho_i) only for the active components and for
-the saturated ones whose term could still round above zero.
+Each function checks its spectrum in :func:`as_rhos` and then prices the
+components through the unchecked sequence kernels of :mod:`.scalar`: one
+list comprehension per closed form, with no Python call per component. The
+module keeps the last spectrum it checked, with its caps I(rho_i) once a
+function has priced them, so that calls on one spectrum, such as
+:func:`waterfill`, :func:`saturation_breakpoints` and
+:func:`evaluate_allocation` in turn or a budget sweep, check and price it
+once. It keeps only a spectrum whose value cannot change, a
+:class:`CanonicalSpectrum` or a tuple of exact floats, found again by
+identity; results are the same bits either way. A saturated component adds
+nothing to the water-filling value, so :func:`waterfill` computes C(rho_i)
+only for the active components and for the saturated ones whose term could
+still round above zero.
 """
 
 from __future__ import annotations
@@ -167,6 +174,35 @@ def _checked_rhos(raw) -> tuple[float, ...]:
     return tuple(rhos)
 
 
+# The last spectrum checked, as one (key, rhos, caps) entry: the spectrum
+# itself, as_rhos of it, and its caps, or None until a caller needs them.
+# Each store replaces the whole entry, so a reader in any thread sees one
+# spectrum's values. The initial key is no object a caller can pass.
+_last = (object(), (), None)
+
+
+def _checked(spectrum, priced: bool = False):
+    """``as_rhos(spectrum)`` and, if ``priced``, the caps I(rho_i) as a
+    tuple (else None), reused when ``spectrum`` is the last spectrum
+    checked. Only a spectrum whose value cannot change is kept: a
+    CanonicalSpectrum, or a tuple whose elements are all exact floats (a
+    list can be mutated, and a float subclass or any other element can
+    convert to a new value each time)."""
+    global _last
+    key, rhos, caps = _last
+    if spectrum is not key:
+        rhos, caps = as_rhos(spectrum), None
+    elif caps is not None or not priced:
+        return rhos, caps
+    if priced:
+        caps = tuple(_mutual_informations(rhos))
+    if (spectrum is key or type(spectrum) is CanonicalSpectrum
+            or type(spectrum) is tuple
+            and list(map(type, spectrum)).count(float) == len(spectrum)):
+        _last = (spectrum, rhos, caps)
+    return rhos, caps
+
+
 def waterfill(spectrum, gamma: float) -> Allocation:
     """Split ``gamma`` optimally across the spectrum's components.
 
@@ -184,13 +220,12 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     nonzero (see the comment in the code). A component with rho_i = 1 never
     saturates and makes the total infinite for any finite budget.
     """
-    rhos = as_rhos(spectrum)
+    rhos, caps = _checked(spectrum, priced=True)
     gamma = validate_budget(gamma)
     if math.isinf(gamma):
         raise ParameterError("waterfill requires a finite budget")
     if not rhos:
         return Allocation((), 0.0, 0.0, (), gamma)
-    caps = tuple(_mutual_informations(rhos))
     total_cap = math.fsum(caps)
     if gamma >= total_cap:
         return Allocation(caps, _common_informations(rhos[:1])[0], 0.0,
@@ -249,7 +284,7 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     when the correlations are distinct; equal correlations saturate together.
     """
     return tuple([k * cap + tail for k, cap, tail in zip(*_weakest_first(
-        _mutual_informations(as_rhos(spectrum))))])
+        _checked(spectrum, priced=True)[1]))])
 
 
 def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
@@ -259,7 +294,7 @@ def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
     the same total budget. ``gammas`` may be any iterable with one budget
     per component; each budget is checked once.
     """
-    rhos = as_rhos(spectrum)
+    rhos = _checked(spectrum)[0]
     raw, budgets = _floats(gammas, "budgets")
     if len(raw) != len(rhos):
         raise ParameterError(

@@ -39,15 +39,18 @@ def _spectrum(rng):
     return sorted(rhos, reverse=True)
 
 
-def sweep_lines(seed=SEED, spectra=SPECTRA):
+def sweep_lines(seed=SEED, spectra=SPECTRA, kind=list):
     """One line per result: ``waterfill`` at budgets up to 1.2 times the
     summed caps and at each saturation breakpoint, the breakpoints, and
-    ``evaluate_allocation`` of a random split and of the optimal one."""
+    ``evaluate_allocation`` of a random split and of the optimal one. Each
+    spectrum is passed as a ``kind`` (a list, which ``allocation`` checks on
+    every call, or a tuple, which it checks once and reuses) and printed as
+    a list, so the lines do not depend on ``kind``."""
     rng = random.Random(seed)
     for _ in range(spectra):
-        rhos = _spectrum(rng)
+        rhos = kind(_spectrum(rng))
         breakpoints = allocation.saturation_breakpoints(rhos)
-        yield repr((rhos, breakpoints))
+        yield repr((list(rhos), breakpoints))
         budgets = [1.2 * rng.random() * breakpoints[-1] for _ in range(3)]
         for gamma in budgets + [rng.choice(breakpoints)]:
             alloc = allocation.waterfill(rhos, gamma)

@@ -1,6 +1,10 @@
 """Reverse water-filling: examples, invariants, and optimality."""
 
+import importlib.util
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from gausswyner.errors import ParameterError
 
 import allocation_digest
 import corpus
+import test_errors
 
 
 class TestWaterfill:
@@ -102,20 +107,6 @@ class TestWaterfill:
         alloc = waterfill([], 0.4)
         assert alloc.total_value == 0.0
         assert alloc.slack == pytest.approx(0.4)
-
-    @pytest.mark.parametrize("call, args, kind", [
-        (waterfill, (None, 0.1), "NoneType"),
-        (waterfill, (5, 0.1), "int"),
-        (saturation_breakpoints, (None,), "NoneType"),
-        (allocation.CanonicalSpectrum, (None,), "NoneType"),
-        (allocation.as_rhos, (0.5,), "float"),
-    ], ids=["waterfill-None", "waterfill-int", "breakpoints-None",
-            "spectrum-None", "as_rhos-float"])
-    def test_rejects_a_spectrum_that_is_not_iterable(self, call, args, kind):
-        with pytest.raises(ParameterError, match=(
-                f"^expected an iterable of canonical correlations, "
-                f"got {kind}$")):
-            call(*args)
 
     def test_accepts_an_iterator(self):
         assert waterfill(iter([0.9, 0.5]), 0.1) == waterfill([0.9, 0.5], 0.1)
@@ -621,6 +612,12 @@ class TestSameBitsOnEveryPython:
         assert (corpus.digest(allocation_digest.sweep_lines())
                 == allocation_digest.DIGEST)
 
+    def test_sweep_of_tuples_gives_the_same_lines(self):
+        # a tuple spectrum is checked and priced once, then reused by each
+        # later call on it: the lines are those of the list sweep
+        assert list(allocation_digest.sweep_lines(kind=tuple)) == \
+            list(allocation_digest.sweep_lines())
+
     def test_evaluate_allocation_total(self):
         # the builtin sum gives 1.802987975936814 on 3.10 and 3.11
         total = evaluate_allocation(
@@ -636,3 +633,178 @@ class TestSameBitsOnEveryPython:
         assert repr(alloc.slack) == "0.8794155367707398"
         assert alloc.slack == 1.5 - math.fsum(
             scalar.mutual_information(r) for r in rhos)
+
+
+# ---------------------------------------------------------------------------
+# The module keeps the last spectrum it checked (allocation._last): a hit
+# must give the bits of a miss, and only a value that cannot change is kept.
+# ---------------------------------------------------------------------------
+
+
+def _memo_spectrum(rng):
+    """A descending tuple of 1 to 12 correlations, with ties, zeros, 1,
+    values near 1 and tiny ones."""
+    pool = (1.0, 1.0 - 2.0 ** -53, 1.0 - 1e-9, 0.5, 1e-5, 3e-6, 1e-300,
+            5e-324, 0.0, -0.0)
+    return tuple(sorted((rng.choice(pool) if rng.random() < 0.4
+                         else rng.random()
+                         for _ in range(rng.randrange(1, 13))), reverse=True))
+
+
+def _results(spectrum, budgets):
+    """The repr of every result on ``spectrum``, calls on it in a row; the
+    first needs no caps, the second does."""
+    out = [repr(evaluate_allocation(spectrum, [0.0] * len(spectrum)))]
+    for gamma in budgets:
+        alloc = waterfill(spectrum, gamma)
+        out += [repr(alloc), repr(evaluate_allocation(spectrum, alloc.gammas))]
+    return out + [repr(saturation_breakpoints(spectrum))]
+
+
+def _ref_results(spectrum, budgets):
+    out = [repr(_ref_evaluate(spectrum, [0.0] * len(spectrum)))]
+    for gamma in budgets:
+        alloc = _ref_waterfill(spectrum, gamma)
+        out += [repr(alloc), repr(_ref_evaluate(spectrum, alloc.gammas))]
+    return out + [repr(_ref_breakpoints(spectrum))]
+
+
+class _Value:
+    """An element that converts to whatever ``value`` now holds."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        return self.value
+
+
+class _Float(float):
+    """A float subclass whose conversion can change, as _Value's does."""
+
+    def __float__(self):
+        return self.value
+
+
+class TestMemo:
+    def test_same_bits_on_a_hit(self):
+        rng = random.Random(2029)
+        for _ in range(60):
+            spectrum = _memo_spectrum(rng)
+            total = math.fsum(_ref_mutual_information(r) for r in spectrum
+                              if r < 1.0)
+            budgets = [1.2 * total * rng.random() for _ in range(20)]
+            for kind in (tuple, allocation.CanonicalSpectrum):
+                checked = kind(spectrum)
+                got = _results(checked, budgets)
+                assert allocation._last[0] is checked  # the calls hit
+                assert got == _results(list(spectrum), budgets)
+                assert got == _ref_results(spectrum, budgets)
+
+    @pytest.mark.parametrize("kind", ["list", "np.float64", "0-d array",
+                                      "__float__", "float subclass"])
+    def test_no_stale_answer_after_a_change(self, kind):
+        # each spectrum's value changes between two rounds of calls on the
+        # same object; the second round must see the new value
+        old, new = [0.9, 0.5, 0.2], [0.9, 0.4, 0.2]
+        if kind == "list":
+            spectrum = list(old)
+            def change(): spectrum[1] = new[1]
+        elif kind == "np.float64":
+            spectrum = tuple(map(np.float64, old))
+            change = None  # np.float64 cannot change; it is not kept either
+        elif kind == "0-d array":
+            cell = np.array(old[1])
+            spectrum = (old[0], cell, old[2])
+            def change(): cell[()] = new[1]
+        elif kind == "__float__":
+            cell = _Value(old[1])
+            spectrum = (old[0], cell, old[2])
+            def change(): cell.value = new[1]
+        else:
+            cell = _Float(old[1])
+            cell.value = old[1]
+            spectrum = (old[0], cell, old[2])
+            def change(): cell.value = new[1]
+        budgets = [0.0, 0.05, 0.3, 1.0, 2.0]
+        want_old, want_new = _results(old, budgets), _results(new, budgets)
+        assert _results(spectrum, budgets) == want_old
+        assert allocation._last[0] is not spectrum
+        if change is not None:
+            change()
+            assert _results(spectrum, budgets) == want_new
+
+    @pytest.mark.parametrize("memo", ["cold", "primed"])
+    def test_errors_are_raised_whatever_the_memo_holds(self, memo):
+        # a copy of the module, loaded afresh, so that "cold" is the memo as
+        # the module starts, and the test leaves the module's memo alone
+        spec = importlib.util.spec_from_file_location(
+            "gausswyner._allocation_copy", allocation.__file__)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        rows = [row.values for row in test_errors.LIBRARY
+                if row.id.startswith("allocation.")]
+        assert len(rows) == 23
+        for call, error, message in rows:
+            function = getattr(module, call.func.__name__)
+            first, *rest = call.args
+            # the row's spectrum, and that spectrum as a tuple, which may be
+            # kept: each is called twice, the second time after itself
+            for args in [call.args] + (
+                    [(tuple(first), *rest)] if type(first) is list else []):
+                if memo == "primed":
+                    module.waterfill((0.9, 0.5, 0.0), 0.1)
+                for _ in range(2):
+                    with pytest.raises(error) as caught:
+                        function(*args)
+                    assert test_errors._matches(str(caught.value),
+                                                message), (call, args)
+
+    def test_holds_at_most_one_spectrum(self):
+        first, second = (0.9, 0.5), (0.8, 0.3)
+        spectrum = allocation.CanonicalSpectrum((0.7,))
+
+        def refs():
+            return [sys.getrefcount(x) for x in (first, second, spectrum)]
+
+        counts = refs()
+
+        def held():
+            return [now - count for now, count in zip(refs(), counts)]
+
+        waterfill(first, 0.1)
+        saturation_breakpoints(first)
+        assert held() == [1, 0, 0]
+        evaluate_allocation(second, (0.1, 0.1))
+        assert held() == [0, 1, 0]
+        waterfill(spectrum, 0.1)
+        assert held() == [0, 0, 1]
+        waterfill([0.9, 0.5], 0.1)  # a list is not kept, and evicts nothing
+        assert held() == [0, 0, 1]
+
+    def test_threads_see_their_own_spectrum(self):
+        rng = random.Random(4)
+        spectra = [tuple(sorted((rng.random() for _ in range(200)),
+                                reverse=True)) for _ in range(4)]
+        budgets = [0.0, 1.0, 10.0, 100.0]
+        want = [_results(list(spectrum), budgets) for spectrum in spectra]
+        wrong = []
+
+        def work(spectrum, expected):
+            for _ in range(40):
+                if _results(spectrum, budgets) != expected:
+                    wrong.append(spectrum)
+
+        threads = [threading.Thread(target=work, args=args)
+                   for args in zip(spectra, want)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

@@ -463,6 +463,12 @@ _MUTANTS = [
       ("beta = level", "beta = 0.995 * level"),
       ("beta = level", "beta = 1.005 * level"),
       ("if gamma >= total_cap:", "if gamma < total_cap:")]),
+    # caps off by 1e-4, where allocation checks and prices a spectrum: only
+    # the saturated component of the third instance spends its cap
+    (allocation, "_checked", WATERFILL[2:],
+     {"dual_gap": lambda gap: gap > 1e-5},
+     [("tuple(_mutual_informations(rhos))",
+       "tuple([1.0001 * c for c in _mutual_informations(rhos)])")]),
     (allocation, "waterfill",
      [WATERFILL[0], "verify_waterfill_grid((0.8, 0.8), 0.2)", WATERFILL[2]],
      {"error": lambda error: error.startswith("ParameterError: budget ")},
@@ -521,6 +527,22 @@ class TestSuites:
             assert all(holds(report.details[key])
                        for key, holds in details.items()
                        if key in report.details)
+
+    @pytest.mark.parametrize("memo", ["cold", "primed"])
+    def test_memo_mutant_fails_whatever_the_memo_holds(self, memo,
+                                                       monkeypatch):
+        # _mutant runs the edited _checked on a copy of allocation's globals,
+        # memo included: a spectrum it held, priced by the unedited code,
+        # must not hide the fault
+        (module, name, failed, details, ((old, new),)), = [
+            row for row in _MUTANTS if row[1] == "_checked"]
+        if memo == "cold":
+            monkeypatch.setattr(allocation, "_last", (object(), (), None))
+        else:
+            oracle.run_suite("waterfill")
+            assert allocation._last[1] == (0.9, 0.5, 0.2)
+        self.test_mutant_fails_exactly_its_checks(
+            module, name, failed, details, old, new, monkeypatch)
 
 
 PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
