@@ -14,17 +14,15 @@ out.
 
 Each function checks its spectrum in :func:`as_rhos` and then prices the
 components through the unchecked sequence kernels of :mod:`.scalar`: one
-list comprehension per closed form, with no Python call per component. The
-module keeps the last spectrum it checked, with its caps I(rho_i) once a
-function has priced them, so that calls on one spectrum, such as
-:func:`waterfill`, :func:`saturation_breakpoints` and
-:func:`evaluate_allocation` in turn or a budget sweep, check and price it
-once. It keeps only a spectrum whose value cannot change, a
-:class:`CanonicalSpectrum` or a tuple of exact floats, found again by
-identity; results are the same bits either way. A saturated component adds
-nothing to the water-filling value, so :func:`waterfill` computes C(rho_i)
-only for the active components and for the saturated ones whose term could
-still round above zero.
+list comprehension per closed form, with no Python call per component, and
+one log1p pair per component from which both the caps I(rho_i) and the
+common informations C(rho_i) are formed. The module keeps the last
+spectrum it checked, with its C(rho_i) and, once a function has needed
+them, its caps, so that calls on one spectrum, such as :func:`waterfill`,
+:func:`saturation_breakpoints` and :func:`evaluate_allocation` in turn or
+a budget sweep, check and price it once. It keeps only a spectrum whose
+value cannot change, a :class:`CanonicalSpectrum` or a tuple of exact
+floats, found again by identity; results are the same bits either way.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .scalar import (
     RHO_CLAMP_BAND,
     _as_float,
     _common_informations,
+    _log1ps,
     _mutual_informations,
     _wyner_cis,
     level_from_budget,
@@ -174,33 +173,38 @@ def _checked_rhos(raw) -> tuple[float, ...]:
     return tuple(rhos)
 
 
-# The last spectrum checked, as one (key, rhos, caps) entry: the spectrum
-# itself, as_rhos of it, and its caps, or None until a caller needs them.
-# Each store replaces the whole entry, so a reader in any thread sees one
-# spectrum's values. The initial key is no object a caller can pass.
-_last = (object(), (), None)
+# The last spectrum checked, as one (key, rhos, caps, commons) entry: the
+# spectrum itself, as_rhos of it, its caps, or None until a caller needs
+# them, and its common informations. Each store replaces the whole entry,
+# so a reader in any thread sees one spectrum's values. The initial key is
+# no object a caller can pass.
+_last = (object(), (), None, ())
 
 
-def _checked(spectrum, priced: bool = False):
-    """``as_rhos(spectrum)`` and, if ``priced``, the caps I(rho_i) as a
-    tuple (else None), reused when ``spectrum`` is the last spectrum
-    checked. Only a spectrum whose value cannot change is kept: a
-    CanonicalSpectrum, or a tuple whose elements are all exact floats (a
-    list can be mutated, and a float subclass or any other element can
-    convert to a new value each time)."""
+def _checked(spectrum, capped: bool = False):
+    """``as_rhos(spectrum)``, its caps I(rho_i) and its common
+    informations C(rho_i), as tuples, reused when ``spectrum`` is the last
+    spectrum checked. The caps are priced only if ``capped``, and are
+    otherwise None unless already kept. Only a spectrum whose value cannot
+    change is kept: a CanonicalSpectrum, or a tuple whose elements are all
+    exact floats (a list can be mutated, and a float subclass or any other
+    element can convert to a new value each time)."""
     global _last
-    key, rhos, caps = _last
+    key, rhos, caps, commons = _last
     if spectrum is not key:
-        rhos, caps = as_rhos(spectrum), None
-    elif caps is not None or not priced:
-        return rhos, caps
-    if priced:
-        caps = tuple(_mutual_informations(rhos))
+        rhos, caps, commons = as_rhos(spectrum), None, None
+    elif caps is not None or not capped:
+        return rhos, caps, commons
+    logs = _log1ps(rhos)
+    if commons is None:
+        commons = tuple(_common_informations(logs))
+    if capped:
+        caps = tuple(_mutual_informations(logs))
     if (spectrum is key or type(spectrum) is CanonicalSpectrum
             or type(spectrum) is tuple
             and list(map(type, spectrum)).count(float) == len(spectrum)):
-        _last = (spectrum, rhos, caps)
-    return rhos, caps
+        _last = (spectrum, rhos, caps, commons)
+    return rhos, caps, commons
 
 
 def waterfill(spectrum, gamma: float) -> Allocation:
@@ -214,13 +218,11 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     ``level_from_budget`` of that spend. The solve is exact: each active
     component's budget maps back to the water level bit for bit, and the
     budgets add up to ``gamma`` to within n float roundings. The value is
-    the sum of max(C(rho_i) - beta, 0) in component order; a saturated
-    component's term is 0, since the level bought at its own cap is
-    C(rho_i), so C(rho_i) is priced only where rounding could make the term
-    nonzero (see the comment in the code). A component with rho_i = 1 never
-    saturates and makes the total infinite for any finite budget.
+    the sum of max(C(rho_i) - beta, 0) in component order. A component
+    with rho_i = 1 never saturates and makes the total infinite for any
+    finite budget.
     """
-    rhos, caps = _checked(spectrum, priced=True)
+    rhos, caps, commons = _checked(spectrum, capped=True)
     gamma = validate_budget(gamma)
     if math.isinf(gamma):
         raise ParameterError("waterfill requires a finite budget")
@@ -228,8 +230,8 @@ def waterfill(spectrum, gamma: float) -> Allocation:
         return Allocation((), 0.0, 0.0, (), gamma)
     total_cap = math.fsum(caps)
     if gamma >= total_cap:
-        return Allocation(caps, _common_informations(rhos[:1])[0], 0.0,
-                          (True,) * len(rhos), gamma - total_cap)
+        return Allocation(caps, commons[0], 0.0, (True,) * len(rhos),
+                          gamma - total_cap)
     for k, cap, tail in zip(*_weakest_first(caps)):
         spend = (gamma - tail) / k
         if spend < cap:
@@ -241,26 +243,9 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     saturated = tuple(map(ge, repeat(spend), caps))
     # Sum of max(C(rho_i) - beta, 0.0) as a left fold in component order.
     # A component with C(rho_i) <= beta adds 0.0 to a nonnegative total,
-    # which changes no bit, so the fold skips it. Its C(rho_i) need not be
-    # priced either. The first k components are active; a saturated one
-    # with cap_i < spend * (1 - 1e-9) and rho_i = 0 or rho_i >= 1e-5 is
-    # skipped, because its computed C(rho_i) cannot exceed beta:
-    # - at rho_i = 0, C(rho_i) is 0.0;
-    # - else the computed cap is within about 2 eps / rho_i <= 5e-11 of
-    #   I(rho_i) in relative terms (the log1p pair cancels like 1 / rho), so
-    #   I(rho_i) < spend * (1 - 9e-10). C(rho) = L(I(rho)) for the level
-    #   L = level_from_budget, whose elasticity x L'(x) / L(x) lies in
-    #   [1/2, 1]. So C(rho_i) < L(spend) * (1 - 4e-10), a gap that the
-    #   few-ulp errors of the computed C(rho_i) and beta cannot close.
-    # Below rho = 1e-5 the cap's error grows like eps / rho, so a saturated
-    # component there is priced whatever its cap.
-    active = int(k)
-    floor = spend * (1.0 - 1e-9)
-    priced = rhos[:active] + tuple([
-        r for r, cap in zip(rhos[active:], caps[active:])
-        if cap >= floor or (r < 1e-5 and r > 0.0)])
-    total = reduce(add, [value - beta for value in _common_informations(priced)
-                         if value > beta], 0.0)
+    # which changes no bit, so the fold skips it.
+    total = reduce(add, [value - beta for value in commons if value > beta],
+                   0.0)
     return Allocation(gammas, beta, total, saturated, 0.0)
 
 
@@ -284,7 +269,7 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     when the correlations are distinct; equal correlations saturate together.
     """
     return tuple([k * cap + tail for k, cap, tail in zip(*_weakest_first(
-        _checked(spectrum, priced=True)[1]))])
+        _checked(spectrum, capped=True)[1]))])
 
 
 def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
@@ -294,7 +279,7 @@ def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
     the same total budget. ``gammas`` may be any iterable with one budget
     per component; each budget is checked once.
     """
-    rhos = _checked(spectrum)[0]
+    rhos, _, commons = _checked(spectrum)
     raw, budgets = _floats(gammas, "budgets")
     if len(raw) != len(rhos):
         raise ParameterError(
@@ -305,4 +290,4 @@ def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:
     if (budgets is None or math.isnan(sum(budgets))
             or min(budgets, default=0.0) < 0.0):
         budgets = list(map(validate_budget, raw))
-    return math.fsum(_wyner_cis(rhos, budgets))
+    return math.fsum(_wyner_cis(commons, budgets))

@@ -19,7 +19,12 @@ import sys
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .scalar import _as_float, _mutual_informations, validate_correlation
+from .scalar import (
+    _as_float,
+    _log1ps,
+    _mutual_informations,
+    validate_correlation,
+)
 
 __all__ = [
     "GrayWynerPoint",
@@ -111,7 +116,7 @@ def common_rate(sigma2: float, rho: float, delta: float,
         nu_star = min(max(d / denom, 1.0 / (1.0 + r)), 1.0)
         regime = Regime.BLEND
     else:
-        r0 = max(-_mutual_informations((r,))[0] - log_d, 0.0)
+        r0 = max(-_mutual_informations(_log1ps((r,)))[0] - log_d, 0.0)
         regime = Regime.SATURATED_NU
     return GrayWynerPoint(sigma2, rho, delta, alpha_private, r0, regime,
                           nu_star)
@@ -139,5 +144,6 @@ def dual_objective(rho: float, delta: float, alpha_private: float,
         raise ParameterError(f"nu must lie in (1/2, 1], got {nu!r}")
     return (nu * math.log(nu) - (nu - 0.5) * math.log(2.0 * nu - 1.0)
             - nu * (alpha_private + math.log(delta))
-            - _mutual_informations((r,))[0] - (1.0 - nu) * math.log1p(-r))
+            - _mutual_informations(_log1ps((r,)))[0]
+            - (1.0 - nu) * math.log1p(-r))
 

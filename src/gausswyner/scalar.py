@@ -82,21 +82,29 @@ def validate_budget(gamma: float) -> float:
 # every r = |rho| in [0, 1] and every budget. The public functions index
 # them at one value, so each formula is written once.
 
-def _common_informations(rs) -> list[float]:
-    """:func:`common_information` at each r in ``rs``; ``inf`` at r = 1,
-    where log1p(-r) would raise."""
+def _log1ps(rs) -> tuple[list[float], list[float]]:
+    """log1p(r) and log1p(-r) at each r in ``rs``, as two lists: the pair
+    from which :func:`_common_informations` and :func:`_mutual_informations`
+    both price a spectrum. log1p(-r) reads -inf at r = 1, where log1p
+    raises, so that both give ``inf`` there with no branch of their own."""
+    return (list(map(math.log1p, rs)),
+            [math.log1p(-r) if r < 1.0 else -math.inf for r in rs])
+
+
+def _common_informations(logs) -> list[float]:
+    """:func:`common_information` at each r of the :func:`_log1ps` pair
+    ``logs``."""
     # 0.0 + x: at r = -0.0 the result is +0.0 as at r = 0.0 (as_rhos and
     # the public wrappers already pass +0.0; this guards any other caller)
-    return [0.0 + 0.5 * (math.log1p(r) - math.log1p(-r)) if r < 1.0
-            else math.inf for r in rs]
+    return [0.0 + 0.5 * (up - down) for up, down in zip(*logs)]
 
 
-def _mutual_informations(rs) -> list[float]:
-    """:func:`mutual_information` at each r in ``rs``; ``inf`` at r = 1."""
+def _mutual_informations(logs) -> list[float]:
+    """:func:`mutual_information` at each r of the :func:`_log1ps` pair
+    ``logs``."""
     # 0.0 - x rather than -x: at rho = 0 (and wherever the logs cancel) the
     # result is +0.0, not -0.0
-    return [0.0 - 0.5 * (math.log1p(r) + math.log1p(-r)) if r < 1.0
-            else math.inf for r in rs]
+    return [0.0 - 0.5 * (up + down) for up, down in zip(*logs)]
 
 
 def _levels(xs) -> list[float]:
@@ -109,14 +117,14 @@ def _levels(xs) -> list[float]:
     return [math.log1p(math.sqrt(0.0 - math.expm1(-2.0 * x))) + x for x in xs]
 
 
-def _wyner_cis(rs, gammas) -> list[float]:
-    """:func:`wyner_ci_scalar` at each pair of r in ``rs`` and checked budget
-    in ``gammas``: C(r) - level(gamma), clamped at zero."""
+def _wyner_cis(commons, gammas) -> list[float]:
+    """:func:`wyner_ci_scalar` at each pair of C(r) in ``commons`` and
+    checked budget in ``gammas``: C(r) - level(gamma), clamped at zero."""
     # c > l rather than max(c - l, 0.0): the two agree wherever c - l is a
     # number, and at c = l = inf (r = 1 with an infinite budget), where it
     # is NaN, the comparison gives the value 0.0
     return [c - l if c > l else 0.0
-            for c, l in zip(_common_informations(rs), _levels(gammas))]
+            for c, l in zip(commons, _levels(gammas))]
 
 
 def common_information(rho: float) -> float:
@@ -124,12 +132,12 @@ def common_information(rho: float) -> float:
 
     Even in |rho| and strictly increasing; returns ``inf`` at |rho| = 1.
     """
-    return _common_informations((abs(validate_correlation(rho)),))[0]
+    return _common_informations(_log1ps((abs(validate_correlation(rho)),)))[0]
 
 
 def mutual_information(rho: float) -> float:
     """Mutual information of the same pair; ``inf`` at |rho| = 1."""
-    return _mutual_informations((abs(validate_correlation(rho)),))[0]
+    return _mutual_informations(_log1ps((abs(validate_correlation(rho)),)))[0]
 
 
 def level_from_budget(x: float) -> float:
@@ -165,11 +173,12 @@ def wyner_ci_scalar(rho: float, gamma: float) -> float:
 
     Computed as (common_information(rho) - level_from_budget(gamma)) clamped
     at zero; the difference form avoids the catastrophic cancellation the
-    product-form argument suffers near saturation. Zero for
-    gamma >= mutual_information(rho); ``inf`` when |rho| = 1 and gamma is
-    finite.
+    product-form argument suffers near saturation. Zero, to rounding, for
+    gamma >= mutual_information(rho): at gamma equal to the computed cap
+    the two rounded terms can leave a residue, e.g. 1.29e-17 at
+    rho = 3.88e-7. ``inf`` when |rho| = 1 and gamma is finite.
     """
-    return _wyner_cis((abs(validate_correlation(rho)),),
+    return _wyner_cis((common_information(rho),),
                       (validate_budget(gamma),))[0]
 
 
@@ -207,7 +216,7 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
     if not 0.0 <= rho < 1.0:
         raise ParameterError(
             f"construction requires 0 <= rho < 1, got {rho!r}")
-    cap = _mutual_informations((rho,))[0]
+    cap = _mutual_informations(_log1ps((rho,)))[0]
     if gamma > cap + 1e-12:
         raise ParameterError(
             f"budget {gamma!r} exceeds the pair's mutual information {cap!r}")
@@ -240,7 +249,7 @@ def dual_objective(rho: float, gamma: float, mu: float) -> float:
     mu = _as_float(mu, "dual variable")
     if math.isnan(mu) or mu <= 1.0:
         raise ParameterError(f"dual variable {mu!r} must be > 1")
-    common = _common_informations((r,))[0]
+    common = _common_informations(_log1ps((r,)))[0]
     if math.isinf(mu):
         return common if gamma == 0.0 else -math.inf
     # atanh(1/mu) = (1/2) log((mu + 1) / (mu - 1)). Below mu = 2, mu - 1 is

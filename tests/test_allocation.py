@@ -1,6 +1,7 @@
 """Reverse water-filling: examples, invariants, and optimality."""
 
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -162,6 +163,26 @@ class TestExactness:
                     beta, rel=1e-14, abs=0.0)
         eps = np.finfo(float).eps
         assert abs(sum(alloc.gammas) - gamma) <= len(rhos) * eps * gamma
+
+    def test_single_component_agrees_with_the_scalar_form(self):
+        # one component is the scalar closed form bit for bit, for
+        # rho >= 1e-12 and a budget outside a band around the cap. Below the
+        # cap both compute C(rho) - level(gamma). Above it waterfill
+        # saturates to 0.0, which the scalar form matches once the budget
+        # clears the computed cap by more than that cap's error: the log1p
+        # pair cancels, so the error is about 4 eps / rho in relative terms
+        # and the band is max(1e-9, 8 eps / rho). At the cap itself the
+        # scalar form can keep a rounding residue.
+        rng = random.Random(3005)
+        rhos = [1e-12, 0.5, 1.0 - 2.0 ** -53] + [
+            10.0 ** rng.uniform(-12.0, 0.0) for _ in range(3000)]
+        for rho in rhos:
+            cap = scalar.mutual_information(rho)
+            band = max(1e-9, 8.0 * sys.float_info.epsilon / rho)
+            for gamma in (0.0, cap * rng.uniform(0.0, 1.0 - 1e-9),
+                          cap * (1.0 + band) * 10.0 ** rng.uniform(0.0, 2.0)):
+                assert waterfill((rho,), gamma).total_value == \
+                    scalar.wyner_ci_scalar(rho, gamma), (rho, gamma)
 
 
 class TestOptimality:
@@ -490,12 +511,14 @@ class TestAgainstReference:
                [0.0, -0.0, 5e-324, 1e-300, math.inf])))
     def test_sequence_kernels_match_the_per_element_formulas(self, rs, xs):
         xs = xs[:len(rs)]
-        assert repr(scalar._common_informations(rs)) == repr(
+        logs = scalar._log1ps(rs)
+        commons = scalar._common_informations(logs)
+        assert repr(commons) == repr(
             [_ref_common_information(r) for r in rs])
-        assert repr(scalar._mutual_informations(rs)) == repr(
+        assert repr(scalar._mutual_informations(logs)) == repr(
             [_ref_mutual_information(r) for r in rs])
         assert repr(scalar._levels(xs)) == repr([_ref_level(x) for x in xs])
-        assert repr(scalar._wyner_cis(rs, xs)) == repr(
+        assert repr(scalar._wyner_cis(commons, xs)) == repr(
             [_ref_wyner_ci(r, x) for r, x in zip(rs, xs)])
 
     @pytest.mark.parametrize("gammas", [
@@ -530,9 +553,9 @@ class TestAgainstReference:
         assert repr(evaluate_allocation(rhos, alloc.gammas)) == \
             repr(_ref_evaluate(rhos, alloc.gammas))
 
-    # waterfill prices C(rho_i) only where its term can be nonzero; the
-    # reference prices every component, so these families hold the skipped
-    # ones to the reference where skipping is most delicate
+    # a saturated component's computed C(rho_i) can still lie above the
+    # level, so its term is not always 0.0: these families hold waterfill
+    # to the reference, which prices every component, where that happens
 
     @settings(max_examples=150, deadline=None)
     @given(groups=st.lists(
@@ -567,7 +590,7 @@ class TestAgainstReference:
     def test_matches_the_reference_on_tiny_pairs(self, log_rho, log_gap, u):
         # below rho = 1e-5 the log1p pair's cap is off by about eps / rho in
         # relative terms, so a component saturated by its cap can still
-        # have C(rho) above the level: a margin on the cap is not enough
+        # have C(rho) above the level: no margin on the cap can skip it
         rho = 10.0 ** log_rho
         rhos = [rho, rho * (1.0 - 10.0 ** log_gap)]
         gamma = 2.0 * _ref_mutual_information(rhos[1]) * (1.0 + 10.0 ** u)
@@ -576,7 +599,7 @@ class TestAgainstReference:
 
     def test_tiny_saturated_component_is_priced(self):
         # the second component saturates, yet its C(rho) exceeds the level;
-        # skipping it on the cap margin alone gives 9.596873236046323e-13
+        # skipping it on a cap margin would give 9.596873236046323e-13
         rhos = (2.1170419469950974e-09, 2.1160823114716897e-09)
         alloc = waterfill(rhos, 4.477804118294965e-18)
         assert alloc.saturated == (False, True)
@@ -700,6 +723,69 @@ class TestMemo:
                 assert allocation._last[0] is checked  # the calls hit
                 assert got == _results(list(spectrum), budgets)
                 assert got == _ref_results(spectrum, budgets)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(
+        ["waterfill", "saturation_breakpoints", "evaluate_allocation"])),
+        ids="-".join)
+    def test_same_bits_whichever_call_fills_the_entry(self, order,
+                                                      monkeypatch):
+        # the first call stores the entry, priced as it needs; the later
+        # calls, then all three again, read it or complete it
+        rng = random.Random(2030)
+        for _ in range(30):
+            spectrum = _memo_spectrum(rng)
+            total = math.fsum(_ref_mutual_information(r) for r in spectrum
+                              if r < 1.0)
+            gamma = 1.2 * total * rng.random()
+            gammas = _ref_waterfill(spectrum, gamma).gammas
+            calls = {
+                "waterfill": lambda s: waterfill(s, gamma),
+                "saturation_breakpoints": saturation_breakpoints,
+                "evaluate_allocation": lambda s: evaluate_allocation(
+                    s, gammas)}
+            want = {name: repr(call(list(spectrum)))
+                    for name, call in calls.items()}
+            for kind in (tuple, allocation.CanonicalSpectrum):
+                checked = kind(spectrum)
+                monkeypatch.setattr(allocation, "_last",
+                                    (object(), (), None, ()))
+                for name in order + order:
+                    assert repr(calls[name](checked)) == want[name], name
+                    assert allocation._last[0] is checked
+
+    def test_a_kept_spectrum_is_not_priced_again(self, monkeypatch):
+        rhos, gammas = (0.9, 0.5, 0.0), (0.1, 0.2, 0.0)
+        alloc = waterfill(rhos, 0.3)
+        breaks = saturation_breakpoints(rhos)
+        total = evaluate_allocation(rhos, gammas)
+
+        def refuse(*args):
+            raise AssertionError("spectrum priced again")
+
+        for kernel in ("_log1ps", "_common_informations",
+                       "_mutual_informations"):
+            monkeypatch.setattr(allocation, kernel, refuse)
+        assert waterfill(rhos, 0.3) == alloc
+        assert saturation_breakpoints(rhos) == breaks
+        assert evaluate_allocation(rhos, gammas) == total
+
+    def test_evaluate_allocation_prices_no_caps(self, monkeypatch):
+        # a list is priced on every call, but only for C(rho_i); a kept
+        # tuple that a later call needs the caps of gets only those
+        rhos, gammas = [0.9, 0.5, 0.0], (0.1, 0.2, 0.0)
+        expected = evaluate_allocation(rhos, gammas)
+        alloc = waterfill(rhos, 0.3)
+
+        def refuse(logs):
+            raise AssertionError("priced again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(allocation, "_mutual_informations", refuse)
+            assert evaluate_allocation(rhos, gammas) == expected
+            assert evaluate_allocation(tuple(rhos), gammas) == expected
+        kept = allocation._last[0]
+        monkeypatch.setattr(allocation, "_common_informations", refuse)
+        assert waterfill(kept, 0.3) == alloc
 
     @pytest.mark.parametrize("kind", ["list", "np.float64", "0-d array",
                                       "__float__", "float subclass"])

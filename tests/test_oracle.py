@@ -467,8 +467,13 @@ _MUTANTS = [
     # the saturated component of the third instance spends its cap
     (allocation, "_checked", WATERFILL[2:],
      {"dual_gap": lambda gap: gap > 1e-5},
-     [("tuple(_mutual_informations(rhos))",
-       "tuple([1.0001 * c for c in _mutual_informations(rhos)])")]),
+     [("tuple(_mutual_informations(logs))",
+       "tuple([1.0001 * c for c in _mutual_informations(logs)])")]),
+    # C(rho_i) off by 1e-4 where it is priced: every value is repriced
+    (allocation, "_checked", WATERFILL,
+     {"repriced_gap": lambda gap: gap < -1e-4},
+     [("tuple(_common_informations(logs))",
+       "tuple([c * 1.0001 for c in _common_informations(logs)])")]),
     (allocation, "waterfill",
      [WATERFILL[0], "verify_waterfill_grid((0.8, 0.8), 0.2)", WATERFILL[2]],
      {"error": lambda error: error.startswith("ParameterError: budget ")},
@@ -533,16 +538,20 @@ class TestSuites:
                                                        monkeypatch):
         # _mutant runs the edited _checked on a copy of allocation's globals,
         # memo included: a spectrum it held, priced by the unedited code,
-        # must not hide the fault
-        (module, name, failed, details, ((old, new),)), = [
-            row for row in _MUTANTS if row[1] == "_checked"]
-        if memo == "cold":
-            monkeypatch.setattr(allocation, "_last", (object(), (), None))
-        else:
-            oracle.run_suite("waterfill")
-            assert allocation._last[1] == (0.9, 0.5, 0.2)
-        self.test_mutant_fails_exactly_its_checks(
-            module, name, failed, details, old, new, monkeypatch)
+        # must not hide the fault, in the caps or in C(rho_i)
+        rows = [row for row in _MUTANTS if row[1] == "_checked"]
+        assert len(rows) == 2
+        for module, name, failed, details, ((old, new),) in rows:
+            if memo == "cold":
+                monkeypatch.setattr(allocation, "_last",
+                                    (object(), (), None, ()))
+            else:
+                oracle.run_suite("waterfill")
+                assert allocation._last[1] == (0.9, 0.5, 0.2)
+                assert allocation._last[2] is not None
+            with monkeypatch.context() as patch:
+                self.test_mutant_fails_exactly_its_checks(
+                    module, name, failed, details, old, new, patch)
 
 
 PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
