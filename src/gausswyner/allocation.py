@@ -16,13 +16,14 @@ Each function checks its spectrum in :func:`as_rhos` and then prices the
 components through the unchecked sequence kernels of :mod:`.scalar`: one
 list comprehension per closed form, with no Python call per component, and
 one log1p pair per component from which both the caps I(rho_i) and the
-common informations C(rho_i) are formed. The module keeps the last
-spectrum it checked, with its C(rho_i) and, once a function has needed
-them, its caps, so that calls on one spectrum, such as :func:`waterfill`,
-:func:`saturation_breakpoints` and :func:`evaluate_allocation` in turn or
-a budget sweep, check and price it once. It keeps only a spectrum whose
-value cannot change, a :class:`CanonicalSpectrum` or a tuple of exact
-floats, found again by identity; results are the same bits either way.
+common informations C(rho_i) are formed, together, whichever function
+checks the spectrum. The module keeps the last spectrum it checked, with
+its caps and C(rho_i), so that calls on one spectrum, such as
+:func:`waterfill`, :func:`saturation_breakpoints` and
+:func:`evaluate_allocation` in turn or a budget sweep, check and price it
+once. It keeps only a spectrum whose value cannot change, a
+:class:`CanonicalSpectrum` or a tuple of exact floats, found again by
+identity; results are the same bits either way.
 """
 
 from __future__ import annotations
@@ -174,33 +175,28 @@ def _checked_rhos(raw) -> tuple[float, ...]:
 
 
 # The last spectrum checked, as one (key, rhos, caps, commons) entry: the
-# spectrum itself, as_rhos of it, its caps, or None until a caller needs
-# them, and its common informations. Each store replaces the whole entry,
-# so a reader in any thread sees one spectrum's values. The initial key is
-# no object a caller can pass.
-_last = (object(), (), None, ())
+# spectrum itself, as_rhos of it, its caps and its common informations.
+# Each store replaces the whole entry, so a reader in any thread sees one
+# spectrum's values. The initial key is no object a caller can pass.
+_last = (object(), (), (), ())
 
 
-def _checked(spectrum, capped: bool = False):
+def _checked(spectrum):
     """``as_rhos(spectrum)``, its caps I(rho_i) and its common
     informations C(rho_i), as tuples, reused when ``spectrum`` is the last
-    spectrum checked. The caps are priced only if ``capped``, and are
-    otherwise None unless already kept. Only a spectrum whose value cannot
-    change is kept: a CanonicalSpectrum, or a tuple whose elements are all
-    exact floats (a list can be mutated, and a float subclass or any other
-    element can convert to a new value each time)."""
+    spectrum checked. Only a spectrum whose value cannot change is kept: a
+    CanonicalSpectrum, or a tuple whose elements are all exact floats (a
+    list can be mutated, and a float subclass or any other element can
+    convert to a new value each time)."""
     global _last
-    key, rhos, caps, commons = _last
-    if spectrum is not key:
-        rhos, caps, commons = as_rhos(spectrum), None, None
-    elif caps is not None or not capped:
-        return rhos, caps, commons
+    entry = _last
+    if spectrum is entry[0]:
+        return entry[1:]
+    rhos = as_rhos(spectrum)
     logs = _log1ps(rhos)
-    if commons is None:
-        commons = tuple(_common_informations(logs))
-    if capped:
-        caps = tuple(_mutual_informations(logs))
-    if (spectrum is key or type(spectrum) is CanonicalSpectrum
+    caps = tuple(_mutual_informations(logs))
+    commons = tuple(_common_informations(logs))
+    if (type(spectrum) is CanonicalSpectrum
             or type(spectrum) is tuple
             and list(map(type, spectrum)).count(float) == len(spectrum)):
         _last = (spectrum, rhos, caps, commons)
@@ -222,7 +218,7 @@ def waterfill(spectrum, gamma: float) -> Allocation:
     with rho_i = 1 never saturates and makes the total infinite for any
     finite budget.
     """
-    rhos, caps, commons = _checked(spectrum, capped=True)
+    rhos, caps, commons = _checked(spectrum)
     gamma = validate_budget(gamma)
     if math.isinf(gamma):
         raise ParameterError("waterfill requires a finite budget")
@@ -269,7 +265,7 @@ def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     when the correlations are distinct; equal correlations saturate together.
     """
     return tuple([k * cap + tail for k, cap, tail in zip(*_weakest_first(
-        _checked(spectrum, capped=True)[1]))])
+        _checked(spectrum)[1]))])
 
 
 def evaluate_allocation(spectrum, gammas: Iterable[float]) -> float:

@@ -675,8 +675,7 @@ def _memo_spectrum(rng):
 
 
 def _results(spectrum, budgets):
-    """The repr of every result on ``spectrum``, calls on it in a row; the
-    first needs no caps, the second does."""
+    """The repr of every result on ``spectrum``, calls on it in a row."""
     out = [repr(evaluate_allocation(spectrum, [0.0] * len(spectrum)))]
     for gamma in budgets:
         alloc = waterfill(spectrum, gamma)
@@ -729,8 +728,8 @@ class TestMemo:
         ids="-".join)
     def test_same_bits_whichever_call_fills_the_entry(self, order,
                                                       monkeypatch):
-        # the first call stores the entry, priced as it needs; the later
-        # calls, then all three again, read it or complete it
+        # the first call stores the entry, caps and C(rho_i) alike; the
+        # later calls, then all three again, read it
         rng = random.Random(2030)
         for _ in range(30):
             spectrum = _memo_spectrum(rng)
@@ -748,7 +747,7 @@ class TestMemo:
             for kind in (tuple, allocation.CanonicalSpectrum):
                 checked = kind(spectrum)
                 monkeypatch.setattr(allocation, "_last",
-                                    (object(), (), None, ()))
+                                    (object(), *allocation._last[1:]))
                 for name in order + order:
                     assert repr(calls[name](checked)) == want[name], name
                     assert allocation._last[0] is checked
@@ -769,23 +768,45 @@ class TestMemo:
         assert saturation_breakpoints(rhos) == breaks
         assert evaluate_allocation(rhos, gammas) == total
 
-    def test_evaluate_allocation_prices_no_caps(self, monkeypatch):
-        # a list is priced on every call, but only for C(rho_i); a kept
-        # tuple that a later call needs the caps of gets only those
-        rhos, gammas = [0.9, 0.5, 0.0], (0.1, 0.2, 0.0)
-        expected = evaluate_allocation(rhos, gammas)
-        alloc = waterfill(rhos, 0.3)
+    @pytest.mark.parametrize("name", ["waterfill", "saturation_breakpoints",
+                                      "evaluate_allocation"])
+    def test_every_miss_prices_caps_and_commons_once(self, name,
+                                                    monkeypatch):
+        # whichever function sees a spectrum first prices all of it, from
+        # one log1p pair; a list is priced on every call and never kept
+        logs = []
 
-        def refuse(logs):
-            raise AssertionError("priced again")
+        def log1ps(rhos):
+            logs.append(rhos)
+            return scalar._log1ps(rhos)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(allocation, "_mutual_informations", refuse)
-            assert evaluate_allocation(rhos, gammas) == expected
-            assert evaluate_allocation(tuple(rhos), gammas) == expected
-        kept = allocation._last[0]
-        monkeypatch.setattr(allocation, "_common_informations", refuse)
-        assert waterfill(kept, 0.3) == alloc
+        monkeypatch.setattr(allocation, "_log1ps", log1ps)
+        call = {"waterfill": lambda s: waterfill(s, 0.3),
+                "saturation_breakpoints": saturation_breakpoints,
+                "evaluate_allocation": lambda s: evaluate_allocation(
+                    s, [0.1] * len(s))}[name]
+        rng = random.Random(2032)
+        for _ in range(20):
+            spectrum = _memo_spectrum(rng)
+            want = repr(allocation._checked(list(spectrum)))
+            for kind in (tuple, allocation.CanonicalSpectrum):
+                checked = kind(spectrum)
+                monkeypatch.setattr(allocation, "_last",
+                                    (object(), *allocation._last[1:]))
+                logs.clear()
+                call(checked)
+                call(checked)
+                assert len(logs) == 1
+                key, rhos, caps, commons = allocation._last
+                assert key is checked
+                assert len(caps) == len(commons) == len(spectrum)
+                assert repr((rhos, caps, commons)) == want
+            entry = allocation._last
+            logs.clear()
+            call(list(spectrum))
+            call(list(spectrum))
+            assert len(logs) == 2
+            assert allocation._last is entry
 
     @pytest.mark.parametrize("kind", ["list", "np.float64", "0-d array",
                                       "__float__", "float subclass"])
