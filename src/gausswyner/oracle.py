@@ -1,18 +1,18 @@
 """Independent verifiers for every closed form in the package.
 
 Each verifier recomputes its target through a different route than the
-library modules: a 2x2 stationarity certificate of the scalar construction,
-a sweep of the scalar dual bound, a Lagrangian dual certificate of the
-water-filling split, a grid search along the envelope bound's cap, the
-Gray-Wyner dual at its closed-form maximizer, and exact entropy sums over
-finite probability tables. Every check returns a :class:`CheckReport`
-carrying the oracle value and the closed-form value side by side;
-:func:`run_suite` runs the published instance table used by the
-command-line ``verify`` subcommand. Grid sizes, sample counts and seeds are
-fixed constants, so no verifier has a tuning argument. The water-filling
-certificate is global and two-sided to rounding, costs O(k) floats for k
-components, and refuses no spectrum but an empty one or one with
-rho_1 = 1.
+library modules: one 2x2 stationarity certificate for the scalar and the
+Gray-Wyner Gaussian constructions, a sweep of the scalar dual bound, a
+Lagrangian dual certificate of the water-filling split, a grid search along
+the envelope bound's cap, the Gray-Wyner dual at its closed-form maximizer,
+and exact entropy sums over finite probability tables. Every check returns
+a :class:`CheckReport` carrying the oracle value and the closed-form value
+side by side; :func:`run_suite` runs the published instance table used by
+the command-line ``verify`` subcommand. Grid sizes, sample counts and seeds
+are fixed constants, so no verifier has a tuning argument. The
+water-filling certificate is global and two-sided to rounding, costs O(k)
+floats for k components, and refuses no spectrum but an empty one or one
+with rho_1 = 1.
 
 Every verifier runs on plain floats, so no suite loads numpy; the dual
 sweep draws its triples from :class:`random.Random`. :mod:`.allocation`
@@ -92,6 +92,20 @@ def _mutual_information(r: float) -> float:
             else -0.5 * math.log((1.0 - r) * (1.0 + r)))
 
 
+def _stationarity(s11: float, s12: float, s22: float, weight: float,
+                  shared: float) -> tuple[float, float]:
+    """Least eigenvalue of M = S^-1 - weight diag(1/s11, 1/s22) and largest
+    entry of M (K - S), K - S = shared 11^T, each over S^-1's largest."""
+    det = s11 * s22 - s12 * s12
+    inv11, inv12, inv22 = s22 / det, -s12 / det, s11 / det
+    m11, m12, m22 = inv11 - weight / s11, inv12, inv22 - weight / s22
+    scale = max(abs(inv11), abs(inv12), abs(inv22))
+    least = ((m11 + m22) / 2.0 - math.hypot((m11 - m22) / 2.0, m12)) / scale
+    # K - S = s 11^T, so M (K - S) is s times M's row sums, in each column
+    slackness = shared * max(abs(m11 + m12), abs(m12 + m22)) / scale
+    return least, slackness
+
+
 def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     """Certify the library's construction (:func:`scalar.achievability_params`)
     for one pair, in 2x2 arithmetic on plain floats.
@@ -131,11 +145,7 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
 
     lam = 1.0 / alpha if alpha else math.inf
     weight = 1.0 / (1.0 + 1.0 / lam)   # lam/(1 + lam), 1 at lam = inf
-    m11, m12, m22 = inv11 - weight / s11, inv12, inv22 - weight / s22
-    scale = max(abs(inv11), abs(inv12), abs(inv22))
-    least = ((m11 + m22) / 2.0 - math.hypot((m11 - m22) / 2.0, m12)) / scale
-    # K - S = s 11^T, so M (K - S) is s times M's row sums, in each column
-    slackness = shared * max(abs(m11 + m12), abs(m12 + m22)) / scale
+    least, slackness = _stationarity(s11, s12, s22, weight, shared)
 
     # One unit of rounding for each side. The construction's a is off by
     # about an ulp, which moves I(a) by eps a^2/(1 - a^2) <= 2 eps gamma /
@@ -403,8 +413,8 @@ def verify_envelope_grid(rho: float, lam: float) -> CheckReport:
 
 def verify_graywyner_dual(rho: float, delta: float,
                           alpha_private: float) -> CheckReport:
-    """Certify ``common_rate`` (unit variance) by the oracle's own dual at
-    its exact maximizer.
+    """Certify ``common_rate`` (unit variance) from below, by the oracle's
+    own dual at its exact maximizer, and from above, by a Gaussian W.
 
     With r = |rho| and log d = alpha + log delta, the dual bound
 
@@ -420,12 +430,15 @@ def verify_graywyner_dual(rho: float, delta: float,
     library's dual are undefined, and the smallest float above 1/2 stands
     in for it.
 
-    With the rounding unit u = 8 eps max(1, |r0|, |log d|, I(r),
-    -log(1 - r)), the check passes when the library's ``dual_objective`` at
-    nu_hat is D(nu_hat) within u, and when, in the BLEND and SATURATED_NU
-    regimes, D(nu_hat) is ``r0`` (strong duality) and nu_hat is
-    ``nu_star`` (1 in SATURATED_NU), each within u; in the INFEASIBLE_ZERO
-    regime ``r0`` must be 0 and D(nu_hat) at most u.
+    W is given by S = Cov((X, Y) | W) <= K at rate 1/2 log(det K/det S),
+    with alpha/2 per private link: S = K in INFEASIBLE_ZERO (if log d >= 0),
+    d I in SATURATED_NU, and [[d, d - (1 - r)], [d - (1 - r), d]] in BLEND,
+    where K - S = (1 - d) 11^T and the scalar's certificate must hold at
+    weight ``nu_star`` = 1/(1 + S12/S11) within 8 eps. With u = 8 eps
+    max(1, |r0|, |log d|, I(r), -log(1 - r)), S must be feasible, the
+    library's ``dual_objective`` at nu_hat must be D(nu_hat) (equal duals
+    are no gap, -inf ones too), and r0 must be 0 and D(nu_hat) at most u
+    in INFEASIBLE_ZERO, and D(nu_hat) and S's rate r0 elsewhere, within u.
     """
     point = graywyner.common_rate(1.0, rho, delta, alpha_private)
     r = abs(point.rho)
@@ -438,20 +451,30 @@ def verify_graywyner_dual(rho: float, delta: float,
                    math.nextafter(0.5, 1.0)))
     dual = (nu * math.log(nu) - (nu - 0.5) * math.log(2.0 * nu - 1.0)
             - nu * log_d - info - (1.0 - nu) * log_c)
-    library_gap = graywyner.dual_objective(
-        rho, delta, alpha_private, nu) - dual
+    library = graywyner.dual_objective(rho, delta, alpha_private, nu)
+    library_gap = 0.0 if library == dual else library - dual
     # One rounding of each term's own size. Over 66,804 seeded instances
     # (1 - r log-uniform down to 1e-12, delta down to 5e-324, alpha up to
     # 800, d on both regime edges) every gap, and D(nu_hat) in
     # INFEASIBLE_ZERO, was at most 1.0 unit of eps times the same maximum
-    rounding = 8.0 * sys.float_info.epsilon * max(
-        1.0, abs(point.r0), abs(log_d), info, -log_c)
+    unit = 8.0 * sys.float_info.epsilon
+    rounding = unit * max(1.0, abs(point.r0), abs(log_d), info, -log_c)
+    rate, least, slackness = 0.0, None, None   # certified in BLEND only
     if point.regime is graywyner.Regime.INFEASIBLE_ZERO:
-        passed = point.r0 == 0.0 and dual <= rounding
+        passed = point.r0 == 0.0 and log_d >= 0.0 and dual <= rounding
     else:
-        nu_star = 1.0 if point.nu_star is None else point.nu_star
-        passed = (abs(dual - point.r0) <= rounding
-                  and abs(nu - nu_star) <= rounding)
+        rate, passed = -info - log_d, log_d <= log_c   # SATURATED_NU
+        if point.regime is graywyner.Regime.BLEND:
+            d = math.exp(log_d)
+            s11, s12 = d, d - (1.0 - r)   # S11 - S12 is 1 - r exactly
+            rate = 0.5 * (math.log1p(r) + log_c - math.log(s11 - s12)
+                          - math.log(s11 + s12))
+            least, slackness = _stationarity(s11, s12, s11, point.nu_star,
+                                             1.0 - d)
+            passed = (log_d <= 0.0 and s11 + s12 >= 0.0
+                      and least >= -unit and slackness <= unit)
+        passed &= (abs(dual - point.r0) <= rounding
+                   and abs(rate - point.r0) <= rounding)
     return CheckReport(
         name=(f"graywyner_dual(rho={rho}, delta={delta}, "
               f"alpha={alpha_private})"),
@@ -461,7 +484,9 @@ def verify_graywyner_dual(rho: float, delta: float,
         passed=passed and abs(library_gap) <= rounding,
         details={"nu_hat": nu, "nu_star": point.nu_star,
                  "regime": point.regime.value,
-                 "library_dual_gap": library_gap},
+                 "library_dual_gap": library_gap,
+                 "construction_rate_gap": rate - point.r0,
+                 "least_eigenvalue": least, "slackness_residual": slackness},
     )
 
 

@@ -24,7 +24,7 @@ import corpus
 
 SEED = 2107
 INVOCATIONS = 400
-DIGEST = "d7ecf6161b6883135336a2593cfddb3a19aa7bac48b561bcaea028bebc8954e1"
+DIGEST = "fd655cb4c1ea438a5ff0cc46d008d462c8ff63158a6d68c19c115c880c5bb837"
 
 # "{out}" stands for the CSV path, in a fresh folder on each run, in stderr too
 _OUT = "{out}"

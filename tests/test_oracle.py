@@ -265,11 +265,22 @@ class TestGrayWynerDual:
         assert report.oracle_value == pytest.approx(0.5 * math.log(1.5),
                                                     abs=2 * EPS)
         assert report.tolerance <= 1e-14
+        # S = [[0.75, 0.25], [0.25, 0.75]]: M = S^-1 - 0.75 diag(4/3) is
+        # 0.5 [[1, -1], [-1, 1]], singular along 11^T = (K - S)/0.25
+        assert abs(report.details["construction_rate_gap"]) <= 2 * EPS
+        assert abs(report.details["least_eigenvalue"]) <= 2 * EPS
+        assert 0.0 <= report.details["slackness_residual"] <= 2 * EPS
 
     def test_saturated_instance_maximizes_at_one(self):
         report = oracle.verify_graywyner_dual(0.5, 0.3, 0.0)
         assert report.passed
         assert report.details["nu_hat"] == 1.0
+        # S = 0.3 I, at rate 1/2 log(0.75/0.09); M = S^-1 - diag(1/0.3) = 0
+        assert report.closed_form_value == pytest.approx(
+            0.5 * math.log(0.75 / 0.09), abs=2 * EPS)
+        assert abs(report.details["construction_rate_gap"]) <= 2 * EPS
+        assert report.details["least_eigenvalue"] is None
+        assert report.details["slackness_residual"] is None
 
     def test_infeasible_instance_stays_nonpositive(self):
         report = oracle.verify_graywyner_dual(0.5, 1.5, 0.0)
@@ -278,6 +289,10 @@ class TestGrayWynerDual:
         # 1/2 log((1 + r)/(2d - (1 - r))) = 1/2 log(1.5/2.5)
         assert report.oracle_value == pytest.approx(0.5 * math.log(0.6),
                                                     abs=2 * EPS)
+        # S = K: W carries nothing, and costs nothing
+        assert report.details["construction_rate_gap"] == 0.0
+        assert report.details["least_eigenvalue"] is None
+        assert report.details["slackness_residual"] is None
 
     @pytest.mark.parametrize("rho, delta, alpha", [
         (0.5, 0.3, 800.0), (0.5, 1e300, 0.0), (0.5, 2.0, 1e300),
@@ -293,16 +308,20 @@ class TestGrayWynerDual:
 
     def test_seeded_sweep(self):
         # first the edges: d = 1 - r, d = 1 and just above it, 1 - r at
-        # 1e-12 and at an ulp, r = 0 (-0.0 too) and delta 5e-324; then
-        # 1 - r log-uniform down to 1e-12, both signs of rho, alpha 0, up
-        # to 3 or up to 800, and d = delta e^alpha aimed at each regime and
-        # at both edges, delta down to 5e-324
+        # 1e-12 and at an ulp, r = 0 (-0.0 too), delta 5e-324 and alpha =
+        # inf, where both duals are -inf; then 1 - r log-uniform down to
+        # 1e-12, both signs of rho, alpha 0, up to 3 or up to 800, and
+        # d = delta e^alpha aimed at each regime and at both edges, delta
+        # down to 5e-324. Each construction's rate is r0 within one unit of
+        # the tolerance's 8, and in BLEND its certificate holds within 2 eps
         rng = random.Random(28)
         regimes = set()
         for edge in ((0.5, 0.5, 0.0), (0.5, 1.0, 0.0),
                      (0.5, 1.0 + 1e-15, 0.0), (1.0 - 1e-12, 1e-12, 0.0),
                      (1.0 - 2.0 ** -53, 1e-300, 0.0), (0.0, 0.5, 0.0),
-                     (-0.0, 1.0, 0.0), (1e-300, 5e-324, 744.0)):
+                     (-0.0, 1.0, 0.0), (1e-300, 5e-324, 744.0),
+                     (0.5, 0.3, math.inf), (1.0 - 2.0 ** -53, 1e-300, math.inf),
+                     (-0.0, 5e-324, math.inf)):
             report = oracle.verify_graywyner_dual(*edge)
             assert report.passed, report
         for _ in range(5000):
@@ -317,7 +336,13 @@ class TestGrayWynerDual:
             report = oracle.verify_graywyner_dual(rng.choice((r, -r)), delta,
                                                   alpha)
             assert report.passed, report
-            regimes.add(report.details["regime"])
+            details = report.details
+            regimes.add(details["regime"])
+            assert abs(details["construction_rate_gap"]) \
+                <= report.tolerance / 8.0, report
+            if details["regime"] == "BLEND":
+                assert details["least_eigenvalue"] >= -2.0 * EPS, report
+                assert details["slackness_residual"] <= 2.0 * EPS, report
         assert len(regimes) == 3
 
 
@@ -482,12 +507,21 @@ _MUTANTS = [
     (graywyner, "dual_objective", GRAYWYNER,
      {"library_dual_gap": lambda gap: gap > 9e-10},
      [("return (nu", "return 1e-9 + (nu")]),
-    # a maximizer off the optimum: strong duality and nu_star see it
+    # a maximizer off the optimum: strong duality sees it
     (oracle, "verify_graywyner_dual", BLEND, {},
      [("1.0 / (2.0 - math.exp", "1.01 / (2.0 - math.exp")]),
     (graywyner, "common_rate", BLEND, {},
-     [("denom = 2.0 * d - (1.0 - r)", "denom = 2.0 * d"),
-      ("nu_star = min(", "nu_star = 1.01 * min(")]),
+     [("denom = 2.0 * d - (1.0 - r)", "denom = 2.0 * d")]),
+    # a weight off the certificate's, in the library's nu_star or in the
+    # helper both constructions share: only the certificate sees it
+    (graywyner, "common_rate", BLEND,
+     {"least_eigenvalue": lambda least: least < -8.0 * EPS,
+      "slackness_residual": lambda residual: residual > 8.0 * EPS},
+     [("nu_star = min(", "nu_star = 1.01 * min(")]),
+    (oracle, "_stationarity", ACHIEVABILITY + BLEND,
+     {"least_eigenvalue": lambda least: least < -6.0 * EPS,
+      "slackness_residual": lambda residual: residual > 6.0 * EPS},
+     [("weight / s11", "1.01 * weight / s11")]),
     # a log of 2d - 1 < 0 raises at the second BLEND instance
     (graywyner, "common_rate",
      [BLEND[0], "verify_graywyner_dual(0.9, 0.3, 0.0)"],
@@ -517,13 +551,15 @@ class TestSuites:
                                              details, old, new, monkeypatch):
         _mutant(monkeypatch, module, name, old, new)
         # _SUITE_CHECKS holds the original verifiers: a mutant one is called
-        # on its instances
+        # on its instances. The verifiers look a private helper up when they
+        # run, so the suites reach its mutant
+        direct = module is oracle and not name.startswith("_")
         reports = ([getattr(oracle, name)(*args)
                     for rows in oracle._SUITE_CHECKS.values()
                     for verifier, instances in rows
                     if verifier.__name__ == name for args in instances]
-                   if module is oracle else oracle.run_suite("all"))
-        assert module is oracle or len(reports) == 24
+                   if direct else oracle.run_suite("all"))
+        assert direct or len(reports) == 24
         failures = [report for report in reports if not report.passed]
         assert [report.name for report in failures] == failed
         for report in failures:  # a check that raised has NaN values
