@@ -435,7 +435,8 @@ def verify_graywyner_dual(rho: float, delta: float,
     d I in SATURATED_NU, and [[d, d - (1 - r)], [d - (1 - r), d]] in BLEND,
     where K - S = (1 - d) 11^T and the scalar's certificate must hold at
     weight ``nu_star`` = 1/(1 + S12/S11) within 8 eps. With u = 8 eps
-    max(1, |r0|, |log d|, I(r), -log(1 - r)), S must be feasible, the
+    max(1, |r0|, |log d|, I(r), -log(1 - r)), where an infinite |log d|
+    (alpha = inf, where D is -inf) counts as 0, S must be feasible, the
     library's ``dual_objective`` at nu_hat must be D(nu_hat) (equal duals
     are no gap, -inf ones too), and r0 must be 0 and D(nu_hat) at most u
     in INFEASIBLE_ZERO, and D(nu_hat) and S's rate r0 elsewhere, within u.
@@ -456,9 +457,12 @@ def verify_graywyner_dual(rho: float, delta: float,
     # One rounding of each term's own size. Over 66,804 seeded instances
     # (1 - r log-uniform down to 1e-12, delta down to 5e-324, alpha up to
     # 800, d on both regime edges) every gap, and D(nu_hat) in
-    # INFEASIBLE_ZERO, was at most 1.0 unit of eps times the same maximum
+    # INFEASIBLE_ZERO, was at most 1.0 unit of eps times the same maximum.
+    # At alpha = inf, |log d| would make the unit inf, which accepts any
+    # library dual, so it is left out there
     unit = 8.0 * sys.float_info.epsilon
-    rounding = unit * max(1.0, abs(point.r0), abs(log_d), info, -log_c)
+    rounding = unit * max(1.0, abs(point.r0), info, -log_c,
+                          0.0 if math.isinf(log_d) else abs(log_d))
     rate, least, slackness = 0.0, None, None   # certified in BLEND only
     if point.regime is graywyner.Regime.INFEASIBLE_ZERO:
         passed = point.r0 == 0.0 and log_d >= 0.0 and dual <= rounding

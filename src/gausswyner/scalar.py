@@ -193,7 +193,8 @@ class AchievabilityParams(NamedTuple):
     rate_nats
         Rate of the auxiliary, I(X,Y;W).
     leakage_nats
-        Conditional mutual information left, equal to the requested budget.
+        Conditional mutual information left: the requested budget, or
+        I(rho) for a budget within the 1e-12 tolerance above it.
     """
 
     alpha_noise: float
@@ -206,8 +207,8 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
     """Construct the optimal auxiliary for ``0 <= rho < 1`` and a budget not
     beyond saturation.
 
-    Rejects ``gamma > mutual_information(rho)``: the construction is
-    undefined once the component is already saturated. Negative correlation
+    Rejects ``gamma > mutual_information(rho) + 1e-12``: the construction
+    is undefined once the component is already saturated. Negative correlation
     should be folded to |rho| by the caller (a sign flip of one source).
     """
     # 0.0 + x: at rho = -0.0 every field reads +0.0, as at rho = 0.0
@@ -225,7 +226,9 @@ def achievability_params(rho: float, gamma: float) -> AchievabilityParams:
     # I(X,Y;W) = (1/2) log((1+rho)(1-alpha) / ((1-rho)(1+alpha))), taken as
     # a difference: the ratio rounds to 1 at small rho (0.0 at rho = 1e-17).
     rate = math.atanh(rho) - math.atanh(alpha)
-    return AchievabilityParams(alpha, sigma2_w, max(rate, 0.0), gamma)
+    # above the cap, alpha = rho leaves I(rho), not gamma
+    return AchievabilityParams(alpha, sigma2_w, max(rate, 0.0),
+                               min(gamma, cap))
 
 
 def dual_objective(rho: float, gamma: float, mu: float) -> float:

@@ -306,6 +306,16 @@ class TestGrayWynerDual:
         assert report.details["nu_hat"] == math.nextafter(0.5, 1.0)
         assert report.details["regime"] == "INFEASIBLE_ZERO"
 
+    def test_infinite_alpha_still_checks_the_library_dual(self, monkeypatch):
+        # at alpha = inf both duals are -inf, and log d is inf: the
+        # tolerance leaves it out and stays finite, so a library dual that
+        # is finite there fails
+        report = oracle.verify_graywyner_dual(0.5, 0.3, math.inf)
+        assert report.passed
+        assert report.tolerance == 8.0 * EPS
+        monkeypatch.setattr(graywyner, "dual_objective", lambda *args: 0.0)
+        assert not oracle.verify_graywyner_dual(0.5, 0.3, math.inf).passed
+
     def test_seeded_sweep(self):
         # first the edges: d = 1 - r, d = 1 and just above it, 1 - r at
         # 1e-12 and at an ulp, r = 0 (-0.0 too), delta 5e-324 and alpha =

@@ -251,6 +251,9 @@ class TestWynerCiScalar:
     def test_degenerate_sentinel(self):
         assert scalar.wyner_ci_scalar(1.0, 0.3) == math.inf
         assert scalar.wyner_ci_scalar(-1.0, 0.0) == math.inf
+        # an infinite budget meets C = inf: the value is 0.0, not inf - inf
+        assert scalar.wyner_ci_scalar(1.0, math.inf) == 0.0
+        assert scalar.wyner_ci_scalar(-1.0, math.inf) == 0.0
 
     @given(rho=rhos_open, gamma=budgets)
     def test_negative_correlation_symmetry(self, rho, gamma):
@@ -335,10 +338,12 @@ class TestAchievability:
     @pytest.mark.parametrize("rho", [0.0, -0.0, 1e-300, 1e-17, 0.1, 0.5,
                                      0.999999])
     def test_saturated_rate_is_positive_zero(self, rho):
+        # a budget past the cap leaks only the cap, I(rho)
         params = scalar.achievability_params(
             rho, scalar.mutual_information(rho) + 1e-13)
         assert params.alpha_noise == abs(rho)
         assert _positive_zero(params.rate_nats)
+        assert params.leakage_nats == scalar.mutual_information(rho)
 
 
 class TestDual:
