@@ -4,10 +4,11 @@ independent Gaussian component pairs.
 Given canonical correlations rho_1 >= ... >= rho_n and a total budget, the
 optimal split gives every unsaturated component the same water level ``beta``
 in value space, while components too weak to absorb their share are capped at
-their own mutual information. Because the caps arrive sorted, ``beta`` has a
-closed form (reverse water-filling, Cover & Thomas §10.3.3): the weakest
-components saturate first, so one pass from the weakest up finds how many
-are active. :func:`waterfill` solves it that way;
+their own mutual information. ``beta`` has a closed form (reverse
+water-filling, Cover & Thomas §10.3.3): the weakest components saturate
+first, so one pass over the caps in increasing order finds how many are
+active. The pass sorts the caps itself, since a spectrum may hold a near-tie
+up to 1e-12 out of order. :func:`waterfill` solves it that way;
 :func:`evaluate_allocation` prices an arbitrary split for comparison, and
 :func:`saturation_breakpoints` lists the budgets at which components drop
 out.
@@ -32,7 +33,7 @@ import math
 from bisect import bisect_left
 from functools import reduce
 from itertools import accumulate, count, repeat
-from operator import add, ge, neg
+from operator import add, eq, ge, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParameterError
@@ -66,7 +67,8 @@ class Allocation(NamedTuple):
     total_value
         Sum of (C(rho_i) - beta) clamped at zero; ``inf`` if some rho_i = 1.
     saturated
-        True where the component's budget hit its mutual information.
+        True where the component's budget hit its mutual information; at a
+        zero budget, only where rho_i = 0.
     slack
         Surplus budget left once every component is saturated (nonzero only
         when the request exceeds the summed mutual informations).
@@ -80,7 +82,8 @@ class Allocation(NamedTuple):
 
 
 class CanonicalSpectrum:
-    """Descending canonical correlations in [0, 1], checked when built.
+    """Canonical correlations in [0, 1], descending to within 1e-12, checked
+    when built.
 
     Immutable, and compared and hashed by ``rhos``.
     """
@@ -114,8 +117,9 @@ class CanonicalSpectrum:
 
 
 def as_rhos(spectrum) -> tuple[float, ...]:
-    """Coerce a CanonicalSpectrum or plain sequence into a validated,
-    descending tuple of correlations in [0, 1]; -0.0 reads as +0.0."""
+    """Coerce a CanonicalSpectrum or plain sequence into a validated tuple
+    of correlations in [0, 1], descending to within 1e-12; -0.0 reads as
+    +0.0."""
     if isinstance(spectrum, CanonicalSpectrum):
         return spectrum.rhos  # validated when it was built
     raw, rhos = _floats(spectrum, "canonical correlations")
@@ -206,9 +210,12 @@ def _checked(spectrum):
 def waterfill(spectrum, gamma: float) -> Allocation:
     """Split ``gamma`` optimally across the spectrum's components.
 
-    If the budget covers every component's mutual information, all of them
-    saturate, the value is 0, and the remainder is reported as slack.
-    Otherwise, with the k strongest components active and the rest
+    A zero budget leaves every component active but those with rho_i = 0,
+    at level 0, and the value is the sum of C(rho_i) in component order,
+    even where I(rho_i) underflows to 0.0. If the budget covers every
+    component's mutual information, all of them saturate at the largest
+    C(rho_i) as the level, the value is 0, and the remainder is reported as
+    slack. Otherwise, with the k strongest components active and the rest
     saturated, each active one spends (gamma - tail) / k, where tail is the
     sum of the saturated caps, and the water level is
     ``level_from_budget`` of that spend. The solve is exact: each active
@@ -224,9 +231,13 @@ def waterfill(spectrum, gamma: float) -> Allocation:
         raise ParameterError("waterfill requires a finite budget")
     if not rhos:
         return Allocation((), 0.0, 0.0, (), gamma)
+    if gamma == 0.0:
+        # a cap that underflows to 0.0 must not read as saturated here
+        return Allocation((0.0,) * len(rhos), 0.0, reduce(add, commons, 0.0),
+                          tuple(map(eq, repeat(0.0), rhos)), 0.0)
     total_cap = math.fsum(caps)
     if gamma >= total_cap:
-        return Allocation(caps, commons[0], 0.0, (True,) * len(rhos),
+        return Allocation(caps, max(commons), 0.0, (True,) * len(rhos),
                           gamma - total_cap)
     for k, cap, tail in zip(*_weakest_first(caps)):
         spend = (gamma - tail) / k
@@ -246,12 +257,15 @@ def waterfill(spectrum, gamma: float) -> Allocation:
 
 
 def _weakest_first(caps):
-    """The saturation order of a descending spectrum, weakest component
-    first: for k = n..1, the count k as a float, caps[k-1], and the tail sum
-    of the caps after position k, added weakest first. Products and
+    """The saturation order, weakest component first: for k = n..1, the
+    count k as a float, the k-th largest cap, and the sum of the n - k
+    smaller caps, added weakest first. The caps are sorted here, so that an
+    out-of-order near-tie cannot stop the walk early. Products and
     quotients with a float k equal those with the int bit for bit
     (k < 2**53), and skip converting k each time."""
-    weakest = caps[::-1]
+    # reversed first: the caps of a descending spectrum then form one
+    # ascending run, ties included, which the sort only has to scan
+    weakest = sorted(reversed(caps))
     return (count(float(len(caps)), -1.0), weakest,
             accumulate(weakest, initial=0.0))
 
@@ -259,10 +273,11 @@ def _weakest_first(caps):
 def saturation_breakpoints(spectrum) -> tuple[float, ...]:
     """Budget thresholds at which components saturate, in increasing order.
 
-    Entry j (0-based) is the total budget k * I(rho_k) + sum_{i > k} I(rho_i)
-    with k = n - j (1-based, descending correlations): the point where the
-    k-th component transitions from active to saturated. Strictly increasing
-    when the correlations are distinct; equal correlations saturate together.
+    With the caps sorted increasing, c_1 <= ... <= c_n, entry j (0-based)
+    is the total budget (n - j) * c_{j+1} + c_1 + ... + c_j: the point where
+    the component with the (j+1)-th smallest cap transitions from active to
+    saturated. Strictly increasing when the caps are distinct; equal caps
+    saturate together.
     """
     return tuple([k * cap + tail for k, cap, tail in zip(*_weakest_first(
         _checked(spectrum)[1]))])

@@ -1,8 +1,10 @@
 """Reverse water-filling: examples, invariants, and optimality."""
 
+import functools
 import importlib.util
 import itertools
 import math
+import operator
 import random
 import sys
 import threading
@@ -49,12 +51,21 @@ class TestWaterfill:
                     alloc.water_level_beta, abs=1e-9)
 
     def test_zero_budget(self):
-        alloc = waterfill([0.9, 0.2], 0.0)
-        assert alloc.gammas == (0.0, 0.0)
-        assert alloc.water_level_beta == 0.0
-        assert alloc.total_value == pytest.approx(
-            scalar.common_information(0.9) + scalar.common_information(0.2),
-            abs=1e-12)
+        # Wyner's own quantity: the left fold of C(rho_i), bit for bit, over
+        # the whole float range, also where I(rho_i) underflows to 0.0
+        # (below about 3e-162); only rho_i = 0 reads as saturated
+        tiny = (1e-17, 1e-100, 3e-162, 1e-200, 2.2250738585072014e-308,
+                5e-324)
+        spectra = [(0.9, 0.2), (1.0 - 2.0 ** -53, 0.5), (1.0, 0.5), (0.0,),
+                   *((rho,) for rho in tiny), tuple(reversed(tiny)),
+                   (0.9, 1e-17, 5e-324, 0.0, 0.0)]
+        for rhos in spectra:
+            alloc = waterfill(rhos, 0.0)
+            assert alloc.gammas == (0.0,) * len(rhos)
+            assert alloc.water_level_beta == 0.0
+            assert alloc.total_value == functools.reduce(operator.add, [
+                scalar.common_information(r) for r in rhos], 0.0), rhos
+            assert alloc.saturated == tuple(r == 0.0 for r in rhos), rhos
 
     def test_surplus_budget_reports_slack(self):
         caps = [scalar.mutual_information(r) for r in (0.9, 0.2)]
@@ -63,6 +74,9 @@ class TestWaterfill:
         assert alloc.saturated == (True, True)
         assert alloc.gammas == tuple(caps)
         assert alloc.slack == pytest.approx(0.5, abs=1e-12)
+        # the level is the largest C(rho_i), also on an out-of-order near-tie
+        assert waterfill((0.5, 0.5 + 1e-13), 5.0).water_level_beta == \
+            scalar.common_information(0.5 + 1e-13)
 
     def test_budgets_never_exceed_caps(self):
         for gamma in (0.05, 0.3, 0.8, 2.0):
@@ -91,13 +105,9 @@ class TestWaterfill:
         assert alloc.saturated[0] is False
         assert sum(alloc.gammas) == pytest.approx(0.3, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="known defect: the walk takes "
-                       "the caps in spectrum order, so a 1.0 after a "
-                       "smaller entry (within the 1e-12 sort tolerance) "
-                       "stops it early")
     def test_budgets_add_up_after_an_out_of_order_near_tie(self):
-        # 5.3 of the 40 nats go unspent: the first component saturates at
-        # its cap, while the spend of the second assumes it active
+        # a walk over the caps in spectrum order stopped at the 1.0 and left
+        # 5.3 of the 40 nats unspent
         alloc = waterfill((1.0 - 1e-13, 1.0, 0.5), 40.0)
         assert math.fsum(alloc.gammas) == pytest.approx(40.0, rel=1e-12)
 
@@ -339,6 +349,9 @@ class TestBreakpoints:
         assert thresholds[1] == pytest.approx(
             scalar.mutual_information(0.9) + scalar.mutual_information(0.2))
         assert thresholds[0] < thresholds[1]
+        # a near-tie out of order, which as_rhos accepts
+        thresholds = saturation_breakpoints((0.5, 0.5 + 1e-13, 0.2))
+        assert thresholds[0] < thresholds[1] < thresholds[2]
 
     def test_water_level_hits_component_value_at_breakpoint(self):
         thresholds = saturation_breakpoints([0.9, 0.2])

@@ -1,4 +1,10 @@
-"""Command-line contract: JSON records, CSV output, exit codes, determinism."""
+"""Command-line contract beyond the byte corpus.
+
+``tests/cli_digest.py`` pins every byte of the numpy-free commands
+(``TestByteCorpus``). The tests here check what that corpus cannot: the
+``vector`` command, curve memory, the file opened before any row is
+computed, rows past the float range, a failing ``verify``, separate negative
+values, fuzzed argv, and each fresh interpreter's exit and imports."""
 
 import argparse
 import gc
@@ -23,86 +29,10 @@ from gausswyner.errors import ParameterError
 import cli_digest
 import corpus
 
-LN2 = math.log(2.0)
-
-
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestScalarCommand:
-    def test_published_value(self, capsys):
-        code, out, _ = run_cli(capsys, "scalar", "--rho", "0.5", "--gamma", "0")
-        assert code == 0
-        record = json.loads(out)
-        assert record["schema_version"] == 1
-        assert record["value_nats"] == pytest.approx(0.549306144334055,
-                                                     abs=1e-9)
-        assert record["achievability"]["sigma2_w"] == pytest.approx(0.5)
-        # a point inside the curve, by the argv of TestColdStart's process
-        _, out, _ = run_cli(capsys, "scalar", "--rho=0.5", "--gamma=0.1")
-        assert json.loads(out)["value_nats"] == pytest.approx(
-            0.0946030591935194, abs=1e-9)
-
-    def test_independent_pair(self, capsys):
-        code, out, _ = run_cli(capsys, "scalar", "--rho", "0", "--gamma", "0")
-        assert code == 0
-        assert json.loads(out)["value_nats"] == 0.0
-
-    def test_beyond_saturation(self, capsys):
-        code, out, _ = run_cli(capsys, "scalar", "--rho", "0.5",
-                               "--gamma", "10")
-        assert code == 0
-        record = json.loads(out)
-        assert record["value_nats"] == 0.0
-        assert record["achievability"] is None
-
-    def test_bits_conversion(self, capsys):
-        _, out_nats, _ = run_cli(capsys, "scalar", "--rho", "0.5",
-                                 "--gamma", "0.05")
-        _, out_bits, _ = run_cli(capsys, "scalar", "--rho", "0.5",
-                                 "--gamma", "0.05", "--bits")
-        nats = json.loads(out_nats)
-        bits = json.loads(out_bits)
-        assert bits["value_bits"] == pytest.approx(nats["value_nats"] / LN2,
-                                                   abs=1e-15)
-        assert bits["achievability"]["alpha_noise"] == \
-            nats["achievability"]["alpha_noise"]
-
-    def test_degenerate_rho_serializes_infinity(self, capsys):
-        code, out, _ = run_cli(capsys, "scalar", "--rho", "1", "--gamma", "0.1")
-        assert code == 0
-        record = json.loads(out)  # json reads the Infinity literal back
-        assert record["value_nats"] == math.inf
-        assert record["achievability"] is None
-
-    def test_determinism(self, capsys):
-        _, first, _ = run_cli(capsys, "scalar", "--rho", "0.37",
-                              "--gamma", "0.081")
-        _, second, _ = run_cli(capsys, "scalar", "--rho", "0.37",
-                               "--gamma", "0.081")
-        assert first == second
-
-    def test_json_round_trip_is_lossless(self, capsys):
-        _, out, _ = run_cli(capsys, "scalar", "--rho", "0.37",
-                            "--gamma", "0.081")
-        record = json.loads(out)
-        assert record["value_nats"] == scalar.wyner_ci_scalar(0.37, 0.081)
-        assert json.loads(json.dumps(record)) == record
-
-    @pytest.mark.parametrize("rho", ["0.5", "-0.0"])
-    def test_negative_zero_budget_prints_positive_zeros(self, capsys, rho):
-        code, out, _ = run_cli(capsys, "scalar", f"--rho={rho}",
-                               "--gamma=-0.0")
-        assert code == 0
-        record = json.loads(out)
-        assert out.count("-0.0") == 1 + (rho == "-0.0")  # the echo only
-        assert record["inputs"]["gamma"] == 0.0
-        assert math.copysign(1.0, record["inputs"]["gamma"]) == -1.0
-        assert '"alpha_noise": 0.0,' in out
-        assert '"leakage_nats": 0.0\n' in out
 
 
 class TestVectorCommand:
@@ -211,21 +141,8 @@ class TestVectorCommand:
 
 
 class TestCurveCommand:
-    def test_reference_curve(self, tmp_path, capsys):
-        out_path = tmp_path / "curve.csv"
-        code, _, _ = run_cli(capsys, "curve", "--rho", "0.5",
-                             "--gamma-max", "0.143", "--steps", "143",
-                             "--output", str(out_path))
-        assert code == 0
-        lines = out_path.read_text().splitlines()
-        assert lines[0] == "gamma,c_gamma_nats,lower_bound_nats"
-        assert len(lines) == 145  # header + steps + 1 rows
-        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
-        assert rows[0][1] == pytest.approx(0.549306144, abs=1e-9)
-        by_gamma = {round(g, 6): c for g, c, _ in rows}
-        assert by_gamma[0.1] == pytest.approx(0.094603, abs=1e-5)
-        for gamma, value, lower in rows:
-            assert value >= lower - 1e-12
+    """The corpus cannot see memory or when a row is computed, and its
+    budgets stay far from overflow."""
 
     def test_unwritable_path_exits_4(self, tmp_path, capsys, monkeypatch):
         rows = []
@@ -256,19 +173,7 @@ class TestCurveCommand:
         peak(2)  # imports and compiles outside the comparison
         assert peak(2000) - peak(200) < 64 * 1024
 
-    def test_negative_zero_budget_prints_positive_zeros(self, tmp_path,
-                                                        capsys):
-        out_path = tmp_path / "curve.csv"
-        code, _, _ = run_cli(capsys, "curve", "--rho=0.5", "--gamma-max=-0.0",
-                             "--steps=2", f"--output={out_path}")
-        assert code == 0
-        text = out_path.read_text()
-        assert "-0.0" not in text
-        assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
-            ["0.0"] * 3
-
-    @pytest.mark.parametrize("gamma_max, steps", [("1e306", 200),
-                                                  ("1.7e308", 2)])
+    @pytest.mark.parametrize("gamma_max, steps", [("1e306", 200)])
     def test_huge_budget_gives_finite_rows(self, tmp_path, capsys, gamma_max,
                                            steps):
         out_path = tmp_path / "curve.csv"
@@ -288,112 +193,9 @@ class TestCurveCommand:
             if math.isfinite(top * j):
                 assert gamma == top * j / steps
 
-    @pytest.mark.parametrize("gamma_max",
-                             ["0.1", "0.7", "1e300", "1.7976931348623157e308"])
-    def test_last_row_is_gamma_max(self, tmp_path, capsys, gamma_max):
-        # gamma_max * steps / steps can round off the top: 0.1 at 3 steps
-        # gave 0.10000000000000002, 0.7 at 3 steps 0.6999999999999998
-        top = float(gamma_max)
-        out_path = tmp_path / "curve.csv"
-        for steps in range(2, 60):
-            code, _, _ = run_cli(capsys, "curve", "--rho=0.5",
-                                 f"--gamma-max={gamma_max}",
-                                 f"--steps={steps}", f"--output={out_path}")
-            assert code == 0
-            gammas = [float(line.split(",")[0])
-                      for line in out_path.read_text().splitlines()[1:]]
-            assert max(gammas) <= top, steps
-            assert gammas[-1] == top, steps
-
-    def test_deterministic_bytes(self, tmp_path, capsys):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path in paths:
-            run_cli(capsys, "curve", "--rho", "0.3", "--gamma-max", "0.05",
-                    "--steps", "20", "--output", str(path))
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-class TestGrayWynerCommand:
-    def test_upper_boundary_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "graywyner", "--rho", "0.5",
-                               "--sigma2", "1", "--delta", "1", "--alpha", "0")
-        assert code == 0
-        record = json.loads(out)
-        assert record["r0_nats"] == 0.0
-        assert record["regime"] == "BLEND"
-        assert record["nu_star"] == pytest.approx(1.0 / 1.5, abs=1e-12)
-
-    def test_boundary_between_branches(self, capsys):
-        code, out, _ = run_cli(capsys, "graywyner", "--rho", "0.5",
-                               "--sigma2", "1", "--delta", "0.5",
-                               "--alpha", "0")
-        assert code == 0
-        record = json.loads(out)
-        assert record["r0_nats"] == pytest.approx(
-            0.5 * math.log(3.0), abs=1e-12)
-
-    def test_saturated_regime_has_no_nu(self, capsys):
-        code, out, _ = run_cli(capsys, "graywyner", "--rho", "0.5",
-                               "--sigma2", "1", "--delta", "0.1",
-                               "--alpha", "0.5")
-        assert code == 0
-        record = json.loads(out)
-        assert record["regime"] == "SATURATED_NU"
-        assert record["nu_star"] is None
-
-    @pytest.mark.parametrize("argv, regime", [
-        (["--delta=1e-300", "--alpha=0"], "SATURATED_NU"),
-        (["--delta=0.1", "--alpha=800"], "INFEASIBLE_ZERO"),
-        (["--sigma2=1e300", "--delta=1e-300", "--alpha=0"], "SATURATED_NU"),
-        (["--sigma2=1e9", "--delta=1e-300", "--alpha=711.29"], "BLEND"),
-    ])
-    def test_extreme_scales_give_a_record(self, capsys, argv, regime):
-        code, out, err = run_cli(capsys, "graywyner", "--rho=0.5", *argv)
-        assert code == 0
-        assert "Traceback" not in err
-        record = json.loads(out)
-        assert math.isfinite(record["r0_nats"])
-        assert record["regime"] == regime
-        assert (record["nu_star"] is None) == (regime != "BLEND")
-
-    @pytest.mark.parametrize("argv", [
-        ["--rho=1", "--sigma2=1e300", "--delta=1e-300", "--alpha=0"],
-        ["--rho=0.9999999999", "--sigma2=1e200", "--delta=1e-200",
-         "--alpha=900"],
-    ])
-    def test_blend_at_extreme_scales_gives_nu_star(self, capsys, argv):
-        code, out, err = run_cli(capsys, "graywyner", *argv)
-        assert code == 0, err
-        record = json.loads(out)
-        assert record["regime"] == "BLEND"
-        assert math.isfinite(record["r0_nats"])
-        assert math.isfinite(record["nu_star"])
-
 
 class TestVerifyCommand:
-    def test_discrete_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "discrete")
-        assert code == 0
-        record = json.loads(out)
-        assert record["all_passed"] is True
-        for check in record["checks"]:
-            assert {"name", "oracle_value", "closed_form_value", "tolerance",
-                    "passed"} <= check.keys()
-
-    def test_scalar_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "scalar")
-        assert code == 0
-        assert json.loads(out)["all_passed"] is True
-
-    def test_failing_check_exits_1(self, capsys, monkeypatch):
-        from gausswyner import oracle
-        failing = oracle.CheckReport(
-            name="synthetic", oracle_value=1.0, closed_form_value=0.0,
-            tolerance=1e-9, passed=False, details={})
-        monkeypatch.setattr(oracle, "run_suite", lambda name: [failing])
-        code, out, _ = run_cli(capsys, "verify", "--suite", "scalar")
-        assert code == 1
-        assert json.loads(out)["all_passed"] is False
+    """Every suite of the corpus passes, so it never sees exit code 1."""
 
     def test_library_error_fails_its_check_and_exits_1(self, capsys,
                                                        monkeypatch):

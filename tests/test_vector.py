@@ -274,7 +274,7 @@ def _planted(rng, kind):
 
 def _outcome(kx, kxy, ky):
     try:
-        return vector.canonical_correlations(JointGaussianCov(kx, kxy, ky))
+        return vector.wyner_ci_vector(JointGaussianCov(kx, kxy, ky), 0.1)
     except CovarianceError:
         return None
 
@@ -284,32 +284,45 @@ _KINDS = ("valid", "rank_deficient", "too_correlated", "outside_range")
 
 class TestUnitInvariance:
     """The spectrum and the accept/reject decision do not depend on the
-    units of the pair, or of X and Y separately."""
+    units of the pair, or of X and Y separately. Under power-of-two units
+    not a bit moves, of the spectrum or of the value: ``_symmetric`` divides
+    each block by a power-of-two root, which then absorbs the factor."""
 
-    def _check(self, seed, kind, fx, fxy, fy):
+    def _check(self, seed, kind, fx, fxy, fy, exact):
         kx, kxy, ky = _planted(np.random.default_rng(seed), kind)
         base = _outcome(kx, kxy, ky)
         scaled = _outcome(kx * fx, kxy * fxy, ky * fy)
         assert (base is None) == (kind in ("too_correlated", "outside_range"))
         assert (scaled is None) == (base is None)
-        if base is not None:
-            np.testing.assert_allclose(scaled.rhos, base.rhos,
+        if base is None:
+            return
+        if exact:
+            assert scaled.spectrum.rhos == base.spectrum.rhos
+            assert scaled.value_nats == base.value_nats
+        else:
+            np.testing.assert_allclose(scaled.spectrum.rhos,
+                                       base.spectrum.rhos,
                                        rtol=0.0, atol=1e-12)
 
+    # Planted entries are at most 16 in magnitude, and the nonzero ones are
+    # nowhere near 2^-100, so the power-of-two factors, 2^+-900 at most,
+    # keep every entry in the normal float range
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS),
-           k=st.integers(-300, 300))
-    def test_whole_covariance_scaling(self, seed, kind, k):
-        f = 10.0 ** k
-        self._check(seed, kind, f, f, f)
+           k=st.integers(-300, 300), exact=st.booleans())
+    def test_whole_covariance_scaling(self, seed, kind, k, exact):
+        f = 4.0 ** k if exact else 10.0 ** k
+        self._check(seed, kind, f, f, f, exact)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS),
-           j=st.integers(-150, 150), k=st.integers(-150, 150))
-    def test_separate_block_scaling(self, seed, kind, j, k):
-        # X in units 10^-j and Y in units 10^-k
-        self._check(seed, kind, 10.0 ** (2 * j), 10.0 ** (j + k),
-                    10.0 ** (2 * k))
+           j=st.integers(-150, 150), k=st.integers(-150, 150),
+           exact=st.booleans())
+    def test_separate_block_scaling(self, seed, kind, j, k, exact):
+        # X in units 10^-j and Y in units 10^-k, or 2^-3j and 2^-3k
+        base = 8.0 if exact else 10.0
+        self._check(seed, kind, base ** (2 * j), base ** (j + k),
+                    base ** (2 * k), exact)
 
 
 def _conditioned(rng, d, kappa):
