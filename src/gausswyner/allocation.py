@@ -82,8 +82,8 @@ class Allocation(NamedTuple):
 
 
 class CanonicalSpectrum:
-    """Canonical correlations in [0, 1], descending to within 1e-12, checked
-    when built.
+    """Canonical correlations in [0, 1], descending to within an absolute
+    1e-12 (``(1e-14, 5e-13, 9e-13)`` is accepted as given), checked when built.
 
     Immutable, and compared and hashed by ``rhos``.
     """
@@ -118,8 +118,8 @@ class CanonicalSpectrum:
 
 def as_rhos(spectrum) -> tuple[float, ...]:
     """Coerce a CanonicalSpectrum or plain sequence into a validated tuple
-    of correlations in [0, 1], descending to within 1e-12; -0.0 reads as
-    +0.0."""
+    of correlations in [0, 1], descending to within an absolute 1e-12 (so
+    ``(1e-14, 5e-13, 9e-13)`` passes as given); -0.0 reads as +0.0."""
     if isinstance(spectrum, CanonicalSpectrum):
         return spectrum.rhos  # validated when it was built
     raw, rhos = _floats(spectrum, "canonical correlations")

@@ -24,7 +24,7 @@ import corpus
 
 SEED = 2107
 INVOCATIONS = 400
-DIGEST = "fd655cb4c1ea438a5ff0cc46d008d462c8ff63158a6d68c19c115c880c5bb837"
+DIGEST = "aa5c6e447a0c8376b64c4eec9d8738cb5e18e47dc75aab833be7c926f16d1bdc"
 
 # "{out}" stands for the CSV path, in a fresh folder on each run, in stderr too
 _OUT = "{out}"

@@ -206,7 +206,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(allocation, "waterfill", waterfill)
         code, out, _ = run_cli(capsys, "verify", "--suite=all")
         checks = json.loads(out)["checks"]
-        assert code == 1 and len(checks) == 24 and '"oracle_value": NaN' in out
+        assert code == 1 and len(checks) == 23 and '"oracle_value": NaN' in out
         assert [check["details"] for check in checks if not check["passed"]] \
             == [{"error": "ParameterError: synthetic"}] * 3
 

@@ -90,6 +90,9 @@ LIBRARY = [
     *_rows(scalar.achievability_params, [
         ("past saturation", (0.5, CAP + 1e-6), f"budget {CAP + 1e-6!r} "
          f"exceeds the pair's mutual information {CAP!r}"),
+        # the tolerance is 1e-12: CAP + 5e-13 is accepted
+        ("just past saturation", (0.5, CAP + 1e-11), f"budget {CAP + 1e-11!r} "
+         f"exceeds the pair's mutual information {CAP!r}"),
         ("rho -0.5", (-0.5, 0.0),
          "construction requires 0 <= rho < 1, got -0.5")]),
     *_rows(scalar.dual_objective, [

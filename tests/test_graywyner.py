@@ -133,11 +133,14 @@ class TestCommonRate:
             0.5 * math.log(0.75) - math.log(1e-300), rel=1e-15)
 
     def test_ratio_below_float_range_stays_finite(self):
-        # delta / sigma2 = 1e-600 is not a float; log d is still exact
-        point = common_rate(1e300, 0.5, 1e-300, 0.0)
-        assert point.regime is Regime.SATURATED_NU
-        assert point.r0 == pytest.approx(
-            0.5 * math.log(0.75) + 600.0 * math.log(10.0), rel=1e-15)
+        # delta / sigma2 = 1e-600 is not a float, and 3e-323 is subnormal,
+        # its log 0.012 off that of the true ratio; log d is still exact
+        for delta in (1e-300, 3e-23):
+            point = common_rate(1e300, 0.5, delta, 0.0)
+            assert point.regime is Regime.SATURATED_NU
+            assert point.r0 == pytest.approx(
+                0.5 * math.log(0.75) - math.log(delta) + math.log(1e300),
+                rel=1e-15)
 
     @pytest.mark.parametrize("sigma2, delta", [
         (1.0, 1e-10), (1.0, 1e-20), (1e300, 1e-300)])

@@ -42,6 +42,8 @@ class TestScalarAchievability:
         assert report.details["multiplier"] == math.inf
         assert report.oracle_value == pytest.approx(
             scalar.common_information(0.5), abs=1e-12)
+        assert report.details["dual_gap"] == 0.0  # both at their limit C(rho)
+        assert report.details["library_dual_gap"] == 0.0
 
     def test_saturation_picks_alpha_rho(self):
         cap = scalar.mutual_information(0.5)
@@ -52,12 +54,13 @@ class TestScalarAchievability:
         assert report.oracle_value == pytest.approx(0.0, abs=1e-12)
 
     def test_small_and_near_one_correlations_to_rounding(self):
-        # rho = 10^-e at 0.1, 0.5 and 0.9 of the cap: taken as ratios of
-        # determinants, the rate and the leakage cancel there, and a grid
-        # that read them so undercut the closed form by 5.5e-10 at
-        # (1e-9, 1e-19)
-        cases = [(10.0 ** -e, f * scalar.mutual_information(10.0 ** -e))
-                 for e in range(1, 16) for f in (0.1, 0.5, 0.9)]
+        # rho = 10^-e and 1 - 10^-e from 0 to 1 times the cap: taken as
+        # ratios of determinants, the rate and the leakage cancel at small
+        # rho, and a grid that read them so undercut the closed form by
+        # 5.5e-10 at (1e-9, 1e-19); near 1 the dual's terms are largest
+        cases = [(rho, f * scalar.mutual_information(rho))
+                 for e in range(1, 16) for rho in (10.0 ** -e, 1 - 10.0 ** -e)
+                 for f in (0.0, 0.1, 0.5, 0.9, 1.0)]
         for rho, gamma in [*cases, (1e-9, 1e-19), (0.999999, 5.0)]:
             report = oracle.verify_scalar_achievability(rho, gamma)
             assert report.passed, report
@@ -69,18 +72,6 @@ class TestScalarAchievability:
         payload = report.as_dict()
         assert {"name", "oracle_value", "closed_form_value", "difference",
                 "tolerance", "passed", "details"} <= payload.keys()
-
-
-class TestDualBoundSweep:
-    def test_sweep_passes(self):
-        report = oracle.verify_dual_bound_sweep()
-        assert report.passed
-        assert report.oracle_value <= 1e-12
-
-    def test_strong_duality_where_the_budget_binds(self):
-        details = oracle.verify_dual_bound_sweep().details
-        assert details["strong_duality_samples"] == 40
-        assert details["strong_duality_gap"] <= 1e-15
 
 
 class TestWaterfillGrid:
@@ -452,7 +443,6 @@ class TestErasureConstruction:
 # fail, and no other, and each detail that a failed check reports holds.
 ACHIEVABILITY = [f"scalar_achievability(rho={rho}, gamma={gamma})" for rho,
                  gamma in ((0.5, 0.1), (0.8, 0.05), (0.3, 0.02), (0.9, 0.4))]
-DUAL = ["scalar_dual_weak_duality(samples=50)"]
 WATERFILL = ["waterfill_grid(spectrum=[0.9, 0.5], gamma=0.2)",
              "waterfill_grid(spectrum=[0.8, 0.8], gamma=0.2)",
              "waterfill_grid(spectrum=[0.9, 0.5, 0.2], gamma=0.5)"]
@@ -464,26 +454,36 @@ GRAYWYNER = [f"graywyner_dual(rho={rho}, delta={delta}, alpha={alpha})"
                                        (0.9, 0.3, 0.0))]
 BLEND = [GRAYWYNER[0], GRAYWYNER[4]]
 _MUTANTS = [
-    (scalar, "_levels", ACHIEVABILITY + DUAL + WATERFILL, {},
+    (scalar, "_levels", ACHIEVABILITY + WATERFILL, {},
      [("+ x for", "+ x + 1e-6 for")]),
-    (scalar, "wyner_ci_scalar", ACHIEVABILITY + DUAL,
+    (scalar, "wyner_ci_scalar", ACHIEVABILITY,
      {"construction_rate_gap": lambda gap: abs(gap) > 9e-7},
      [(")[0]", ")[0] + 1e-6"), (")[0]", ")[0] - 1e-6"),
       ("return _w", "return 1.00001 * _w")]),
     (scalar, "achievability_params", ACHIEVABILITY, {},
      [("alpha = min(", "alpha = 0.999 * min("),
       ("alpha = min(", "alpha = 1.01 * min(")]),
-    # a multiplier off 1/alpha: only the stationarity side sees it
+    # a multiplier off 1/alpha: the certificate and both duals see it
     (oracle, "verify_scalar_achievability", ACHIEVABILITY,
      {"least_eigenvalue": lambda least: least < -6.0 * EPS,
       "slackness_residual": lambda residual: residual > 6.0 * EPS},
      [("1.0 / alpha", "1.01 / alpha")]),
-    (scalar, "dual_objective", DUAL, {},
+    # the oracle's dual off its maximizer: only the dual side sees it
+    (oracle, "verify_scalar_achievability", ACHIEVABILITY,
+     {"dual_gap": lambda gap: gap < -1e-6,
+      "least_eigenvalue": lambda least: least >= -6.0 * EPS},
+     [("_scalar_dual(rho, gamma, lam)",
+       "_scalar_dual(rho, gamma, 1.01 * lam)")]),
+    (scalar, "dual_objective", ACHIEVABILITY,
+     {"library_dual_gap": lambda gap: abs(gap) > 9e-10},
      [("r = abs(validate_correlation(rho))", "return -1e9"),
       ("return (common", "return 1e-9 + (common")]),
-    (oracle, "verify_dual_bound_sweep", DUAL, {},
-     [("1.0 / math.sqrt", "1.01 / math.sqrt"),
-      ("1.0 / math.sqrt", "0.99 / math.sqrt")]),
+    # E off by 1e-6 of itself: the envelope grids and the scalar dual see it
+    (oracle, "envelope_closed_form", ACHIEVABILITY + ENVELOPE,
+     {"dual_gap": lambda gap: abs(gap) > 1e-7,
+      "kkt_identity_gap": lambda gap: abs(gap) > 1e-8},
+     [("return _mutual_information(lam) - lam",
+       "return 1.000001 * _mutual_information(lam) - 1.000001 * lam")]),
     # an infeasible cap: only the exact side sees it
     (oracle, "verify_envelope_grid", ENVELOPE, {},
      [("1.0) for x in q]", "1.0) * 1.0001 for x in q]")]),
@@ -561,15 +561,14 @@ class TestSuites:
                                              details, old, new, monkeypatch):
         _mutant(monkeypatch, module, name, old, new)
         # _SUITE_CHECKS holds the original verifiers: a mutant one is called
-        # on its instances. The verifiers look a private helper up when they
-        # run, so the suites reach its mutant
-        direct = module is oracle and not name.startswith("_")
-        reports = ([getattr(oracle, name)(*args)
-                    for rows in oracle._SUITE_CHECKS.values()
-                    for verifier, instances in rows
-                    if verifier.__name__ == name for args in instances]
-                   if direct else oracle.run_suite("all"))
-        assert direct or len(reports) == 24
+        # on its instances. The verifiers look a helper up when they run, so
+        # the suites reach its mutant
+        instances = [args for rows in oracle._SUITE_CHECKS.values()
+                     for verifier, table in rows if verifier.__name__ == name
+                     for args in table]
+        reports = ([getattr(oracle, name)(*args) for args in instances]
+                   if instances else oracle.run_suite("all"))
+        assert instances or len(reports) == 23
         failures = [report for report in reports if not report.passed]
         assert [report.name for report in failures] == failed
         for report in failures:  # a check that raised has NaN values
