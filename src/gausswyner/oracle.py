@@ -11,7 +11,7 @@ the published instance table used by the command-line ``verify``
 subcommand. Grid sizes are fixed constants and no verifier draws random
 numbers, so none has a tuning argument. The water-filling certificate is
 global and two-sided to rounding, costs O(k) floats for k components, and
-refuses no spectrum but an empty one or one with rho_1 = 1.
+refuses no spectrum but an empty one or one with some rho_i = 1.
 
 Every verifier runs on plain floats, so no suite loads numpy.
 :mod:`.allocation` comes in only with the water-filling certificate, so
@@ -129,7 +129,10 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     rate I(X, Y; W) = 1/2 log(det K/det S) = 1/2 log1p(s 1^T S^-1 1), by
     the matrix determinant lemma. Both are in log1p form: as ratios of
     determinants they would cancel at small rho. The leakage must be
-    min(gamma, I(rho)) and the rate ``wyner_ci_scalar``, each to rounding.
+    min(gamma, I(rho)) and the rate ``wyner_ci_scalar`` at gamma as given,
+    each to rounding: a budget accepted up to 1e-12 above the cap
+    saturates the construction (a = rho), and the value there is 0, where
+    at the cap itself the closed form keeps a residue of rounding.
     With lam = 1/a, the stationarity certificate
     M = (1 + lam) S^-1 - lam diag(1/S11, 1/S22) must satisfy M >= 0 and
     M (K - S) = 0 to rounding. Both are checked on M/(1 + lam), which stays
@@ -140,8 +143,8 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     being :func:`envelope_closed_form`, bounds the value from below for
     every mu >= 1/rho (a <= rho, as the leakage check holds to rounding)
     and is greatest at lam = mu* = 1/sqrt(1 - e^(-2 gamma)), clipped at
-    1/rho. D(lam), and the library's ``dual_objective`` at lam, must meet
-    the value to rounding.
+    1/rho. D(lam), and the library's ``dual_objective`` at lam, both at
+    the budget min(gamma, I(rho)), must meet the value to rounding.
     """
     rho = scalar._as_float(rho, "correlation")
     if not 0.0 < rho < 1.0:
@@ -149,7 +152,10 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
             f"achievability check requires 0 < rho < 1, got {rho!r}")
     # rejects a budget beyond saturation, where the construction is undefined
     construction = scalar.achievability_params(rho, gamma)
-    gamma = construction.leakage_nats
+    gamma = scalar.validate_budget(gamma)
+    # up to 1e-12 above the cap the construction saturates (a = rho) and the
+    # closed form is 0; the leakage and both duals take the capped budget
+    budget = min(gamma, _mutual_information(rho))
     alpha, shared = construction.alpha_noise, construction.sigma2_w
     c = (1.0 - rho) / (1.0 - alpha)
     s11, s12, s22 = c, c * alpha, c
@@ -162,8 +168,8 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     lam = 1.0 / alpha if alpha else math.inf
     weight = 1.0 / (1.0 + 1.0 / lam)   # lam/(1 + lam), 1 at lam = inf
     least, slackness = _stationarity(s11, s22, inverse, weight, shared)
-    dual_gap = _scalar_dual(rho, gamma, lam) - closed
-    library_gap = scalar.dual_objective(rho, gamma, lam) - closed
+    dual_gap = _scalar_dual(rho, budget, lam) - closed
+    library_gap = scalar.dual_objective(rho, budget, lam) - closed
 
     # One unit of rounding for each side. The construction's a is off by
     # about an ulp, which moves I(a) by eps a^2/(1 - a^2) <= 2 eps gamma /
@@ -175,7 +181,7 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     # 2.00; 6 units keep a margin of 2.
     unit = 6.0 * sys.float_info.epsilon
     amplification = 1.0 / ((1.0 - alpha) * (1.0 + alpha))
-    leak_rounding = unit * gamma * amplification
+    leak_rounding = unit * budget * amplification
     rate_rounding = unit * _atanh(rho) * amplification
     # D cancels log(2 pi e), and its other terms are at most about 2 C(rho).
     # Over 1,400,000 seeded (rho, gamma) as above, D's gap reached 4.19 of
@@ -183,7 +189,7 @@ def verify_scalar_achievability(rho: float, gamma: float) -> CheckReport:
     # max(1, C(rho))
     dual_rounding = unit * max(_LOG_2PIE, _atanh(rho))
     library_rounding = 4.0 * sys.float_info.epsilon * max(1.0, _atanh(rho))
-    budget_gap = leakage - min(gamma, _mutual_information(rho))
+    budget_gap = leakage - budget
     rate_gap = rate - closed
     passed = (abs(budget_gap) <= leak_rounding
               and abs(rate_gap) <= rate_rounding
@@ -244,13 +250,14 @@ def verify_waterfill_grid(spectrum, gamma: float) -> CheckReport:
     budgets add up to gamma within r: a global, two-sided check to
     rounding. The prices, caps and level are the oracle's own floats, the
     cap I(rho) = -1/2 log(1 - rho^2) in a form accurate at both ends. Only
-    an empty spectrum and one with rho_1 = 1 are refused.
+    an empty spectrum and one with some rho_i = 1 are refused: a near-tie
+    up to 1e-12 out of order may put a unit rho after the first.
     """
     from . import allocation
 
     rhos = allocation.as_rhos(spectrum)
     gamma = scalar.validate_budget(gamma)
-    if not rhos or rhos[0] >= 1.0:
+    if not rhos or 1.0 in rhos:   # as_rhos reads every unit rho as 1.0
         raise ParameterError("grid oracle requires components with rho < 1")
     alloc = allocation.waterfill(rhos, gamma)
     cis, caps = list(map(_atanh, rhos)), list(map(_mutual_information, rhos))

@@ -114,31 +114,6 @@ class TestVectorCommand:
         assert record["value_nats"] == pytest.approx(
             scalar.wyner_ci_scalar(0.5, 0.05), abs=1e-9)
 
-    @pytest.mark.parametrize("content", [
-        b"\xff\xfe{}",
-        b"[" * 100_000,
-        b'{"dim_x": ' + b"9" * 5000 + b"}",
-    ], ids=["not-utf8", "nested-past-the-stack", "int-too-long"])
-    def test_unparseable_file_exits_2(self, tmp_path, capsys, content):
-        path = tmp_path / "bad.json"
-        path.write_bytes(content)
-        code, _, err = run_cli(capsys, "vector", "--input", str(path),
-                               "--gamma", "0")
-        assert code == 2
-        assert err.startswith("error: invalid JSON: ")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("dim_x", [1.9, True, "1", None])
-    def test_split_that_is_not_whole_exits_2(self, tmp_path, capsys, dim_x):
-        path = tmp_path / "cov.json"
-        path.write_text(json.dumps({"joint": [[1.0, 0.5], [0.5, 1.0]],
-                                    "dim_x": dim_x}))
-        code, out, err = run_cli(capsys, "vector", "--input", str(path),
-                                 "--gamma", "0.1")
-        assert code == 2
-        assert out == ""
-        assert "dim_x must be a whole number" in err
-
 
 class TestCurveCommand:
     """The corpus cannot see memory or when a row is computed, and its

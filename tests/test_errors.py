@@ -218,7 +218,9 @@ LIBRARY = [
         ("gamma 1", (0.5, 1.0),
          f"budget 1.0 exceeds the pair's mutual information {CAP!r}")]),
     *_rows(oracle.verify_waterfill_grid, [
-        ("rho 1", ((1.0, 0.5), 0.5), NO_GRID), ("empty", ((), 0.5), NO_GRID)]),
+        ("rho 1", ((1.0, 0.5), 0.5), NO_GRID), ("empty", ((), 0.5), NO_GRID),
+        # a near-tie up to 1e-12 out of order: a unit rho need not be first
+        ("rho 1 second", ((1 - 1e-12, 1.0), 0.1), NO_GRID)]),
     *_rows(oracle.verify_envelope_grid, [
         ("rho str", ("a", 0.3), "correlation is not a number"),
         ("lam str", (0.5, "a"), "envelope multiplier is not a number"),
@@ -240,7 +242,8 @@ LIBRARY = [
         ("axis float", (PMF, (0.5,), (1,)), f"{AXES}(0.5,)"),
         ("axis str", (PMF, (0,), ("1",)), f"{AXES}('1',)"),
         ("axis bare int", (PMF, 0, 1), f"{AXES}0"),
-        ("axis 2", (PMF, (0,), (2,)), "axes must be in range for a 2-d table"),
+        *[(f"axis {ax}", (PMF, (0,), (ax,)),
+           "axes must be in range for a 2-d table") for ax in (2, -1)],
         ("overlapping", (PMF, (0,), (0,)), "axis groups must be disjoint"),
         ("pmf str", ("a", (0,), (1,)), "pmf entry is not a number"),
         ("pmf ragged", ([[0.5, 0.0], [0.5]], (0,), (1,)),

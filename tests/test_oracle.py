@@ -1,6 +1,7 @@
 """The verifiers themselves: spec examples per oracle, plus report shape."""
 
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from gausswyner import allocation, graywyner, oracle, scalar
-from gausswyner.errors import ParameterError
+from gausswyner.errors import GausswynerError
 
 LN2 = math.log(2.0)
 EPS = sys.float_info.epsilon
@@ -57,11 +58,15 @@ class TestScalarAchievability:
         # rho = 10^-e and 1 - 10^-e from 0 to 1 times the cap: taken as
         # ratios of determinants, the rate and the leakage cancel at small
         # rho, and a grid that read them so undercut the closed form by
-        # 5.5e-10 at (1e-9, 1e-19); near 1 the dual's terms are largest
+        # 5.5e-10 at (1e-9, 1e-19); near 1 the dual's terms are largest.
+        # A budget accepted just above the cap saturates the construction,
+        # and the value there is 0, not the closed form's residue at the cap
         cases = [(rho, f * scalar.mutual_information(rho))
                  for e in range(1, 16) for rho in (10.0 ** -e, 1 - 10.0 ** -e)
                  for f in (0.0, 0.1, 0.5, 0.9, 1.0)]
-        for rho, gamma in [*cases, (1e-9, 1e-19), (0.999999, 5.0)]:
+        for rho, gamma in [*cases, (1e-9, 1e-19), (0.999999, 5.0),
+                           (0.005, scalar.mutual_information(0.005) + 1e-13),
+                           (1e-300, 1e-300), (5e-324, 5e-324)]:
             report = oracle.verify_scalar_achievability(rho, gamma)
             assert report.passed, report
             assert abs(report.oracle_value - report.closed_form_value) \
@@ -472,8 +477,8 @@ _MUTANTS = [
     (oracle, "verify_scalar_achievability", ACHIEVABILITY,
      {"dual_gap": lambda gap: gap < -1e-6,
       "least_eigenvalue": lambda least: least >= -6.0 * EPS},
-     [("_scalar_dual(rho, gamma, lam)",
-       "_scalar_dual(rho, gamma, 1.01 * lam)")]),
+     [("_scalar_dual(rho, budget, lam)",
+       "_scalar_dual(rho, budget, 1.01 * lam)")]),
     (scalar, "dual_objective", ACHIEVABILITY,
      {"library_dual_gap": lambda gap: abs(gap) > 9e-10},
      [("r = abs(validate_correlation(rho))", "return -1e9"),
@@ -599,28 +604,36 @@ class TestSuites:
                     module, name, failed, details, old, new, patch)
 
 
-PMF_2X2 = np.array([[0.5, 0.0], [0.0, 0.5]])
+# Edge values for every argument: NaN, inf, signed zero, a subnormal,
+# tiny, ordinary and near-one floats, the unit and past it, an int beyond
+# the float range, and a string
+EDGES = (math.nan, math.inf, -0.0, 5e-324, 1e-300, 1e-12, 0.5, 1 - 2**-53,
+         1.0, 1.5, 10**400, "x")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: oracle.verify_scalar_achievability("x", 0.1),
-    lambda: oracle.verify_scalar_achievability(math.nan, 0.1),
-    lambda: oracle.verify_envelope_grid("a", 0.3),
-    lambda: oracle.verify_envelope_grid(0.5, "a"),
-    lambda: oracle.dsbs_construction_check("a"),
-    lambda: oracle.discrete_mutual_information(PMF_2X2, (0.5,), (1,)),
-    lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), ("1",)),
-    lambda: oracle.discrete_mutual_information(PMF_2X2, (0,), (2,)),
-    lambda: oracle.discrete_mutual_information(PMF_2X2, 0, 1),
-    lambda: oracle.discrete_mutual_information("a", (0,), (1,)),
-    lambda: oracle.discrete_mutual_information([[0.5, 0.0], [0.5]], (0,),
-                                               (1,)),
-    lambda: oracle.discrete_mutual_information([[0.5, math.nan], [0.0, 0.5]],
-                                               (0,), (1,)),
-], ids=["scalar-rho-str", "scalar-rho-nan", "envelope-rho-str",
-        "envelope-lam-str", "dsbs-str", "axis-float", "axis-str",
-        "axis-out-of-range", "axis-bare-int", "pmf-str", "pmf-ragged",
-        "pmf-nan"])
-def test_invalid_input_raises_parameter_error(call):
-    with pytest.raises(ParameterError):
-        call()
+def test_every_verifier_passes_or_refuses_on_an_edge_grid():
+    """A valid instance must pass, and an invalid one raise a
+    GausswynerError: a failing check or a raw exception here is a defect of
+    the oracle or of the closed form it checks."""
+    calls = [
+        *((verifier, args) for a, b in itertools.product(EDGES, repeat=2)
+          for verifier, args in (
+              (oracle.verify_scalar_achievability, (a, b)),
+              (oracle.verify_waterfill_grid, ((a,), b)),
+              (oracle.verify_waterfill_grid, ((a, 1.0), b)),
+              (oracle.verify_envelope_grid, (a, b)))),
+        *((oracle.verify_graywyner_dual, args)
+          for args in itertools.product(EDGES, repeat=3)),
+        *((verifier, (a,)) for a in EDGES
+          for verifier in (oracle.dsbs_construction_check,
+                           oracle.erasure_construction_check))]
+    defects = []
+    for verifier, args in calls:
+        try:
+            if not verifier(*args).passed:
+                defects.append((verifier.__name__, args, "failed"))
+        except GausswynerError:
+            pass
+        except Exception as exc:
+            defects.append((verifier.__name__, args, repr(exc)))
+    assert not defects
